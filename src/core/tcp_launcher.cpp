@@ -9,6 +9,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -58,10 +59,116 @@ std::optional<std::pair<std::uint8_t, Bytes>> read_ctrl(int fd) {
   return std::make_pair(op, std::move(body));
 }
 
-bool wait_readable(int fd, sim::Duration timeout_us) {
+using Clock = std::chrono::steady_clock;
+
+bool wait_readable(int fd, Clock::time_point deadline) {
+  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  deadline - Clock::now())
+                  .count();
   pollfd pfd{fd, POLLIN, 0};
-  int ms = static_cast<int>(timeout_us / 1000);
+  int ms = static_cast<int>(std::max<decltype(left)>(left, 0));
   return ::poll(&pfd, 1, ms) > 0 && (pfd.revents & (POLLIN | POLLHUP));
+}
+
+// The data-plane config of `self`, with the fixed placement convention:
+// process p hosts protocol node p-1; voters and load clients live with
+// the launcher (process 0).
+net::TcpConfig cluster_net_config(const TcpClusterSpec& spec,
+                                  std::uint32_t self, const std::string& host) {
+  net::TcpConfig cfg;
+  cfg.self_process = self;
+  cfg.election_id = spec.params.election_id;
+  cfg.listen_host = host;
+  cfg.node_process.resize(spec.protocol_processes());
+  for (std::size_t id = 0; id < cfg.node_process.size(); ++id) {
+    cfg.node_process[id] = static_cast<std::uint32_t>(id + 1);
+  }
+  cfg.default_process = 0;
+  return cfg;
+}
+
+// Forks `<binary> --serve <host> <control port> <process> [extra...]`;
+// returns the child's pid, or -1 if fork failed.
+pid_t spawn_node(const std::string& binary, const std::string& host,
+                 std::uint16_t control_port, std::size_t process,
+                 std::vector<std::string> extra = {}) {
+  std::vector<std::string> args = {binary, "--serve", host,
+                                   std::to_string(control_port),
+                                   std::to_string(process)};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(binary.c_str(), argv.data());
+    // exec failed (missing binary): nothing sane to do in the child.
+    std::fprintf(stderr, "ddemos_node exec failed: %s\n", binary.c_str());
+    ::_exit(127);
+  }
+  return pid;
+}
+
+// The handshake steps launch() and respawn_process() share. Each throws
+// ProtocolError naming the step that failed; the caller cleans up.
+
+// Accepts the next control connection and reads its HELLO; returns the
+// connection and sets `process` to the index it names.
+int accept_control(int listen_fd, Clock::time_point deadline,
+                   std::uint32_t& process) {
+  if (!wait_readable(listen_fd, deadline)) {
+    throw ProtocolError("timed out waiting for a node process HELLO");
+  }
+  int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) throw ProtocolError("accept failed on the control socket");
+  auto hello = read_ctrl(fd);
+  if (!hello || hello->first != kCtrlHello || hello->second.size() != 4) {
+    ::close(fd);
+    throw ProtocolError("bad control hello");
+  }
+  Reader r(hello->second);
+  process = r.u32();
+  return fd;
+}
+
+// Reads the child's READY and returns the data port it bound. The child
+// rebuilds its nodes (and replays their WALs) first, so this can take a
+// good share of the budget.
+std::uint16_t read_ready(int fd, Clock::time_point deadline) {
+  if (!wait_readable(fd, deadline)) {
+    throw ProtocolError("timed out waiting for READY");
+  }
+  auto ready = read_ctrl(fd);
+  if (!ready || ready->first != kCtrlReady || ready->second.size() != 2) {
+    throw ProtocolError("bad READY");
+  }
+  Reader r(ready->second);
+  return r.u16();
+}
+
+// CONFIG body: the spec plus the process count. Every child
+// deterministically recomputes its own node's EA data from (params, seed)
+// — no artifacts on the wire.
+Bytes encode_config(const TcpClusterSpec& spec) {
+  Writer w;
+  spec.encode(w);
+  w.u32(static_cast<std::uint32_t>(spec.protocol_processes() + 1));
+  return w.take();
+}
+
+Bytes encode_peers(const std::vector<net::TcpPeer>& peers) {
+  Writer w;
+  w.vec(peers, [](Writer& w2, const net::TcpPeer& peer) {
+    w2.str(peer.host);
+    w2.u16(peer.port);
+  });
+  return w.take();
+}
+
+void send_step(int fd, CtrlOp op, BytesView body, const char* what) {
+  if (!send_ctrl(fd, op, body)) {
+    throw ProtocolError(std::string("failed to send ") + what);
+  }
 }
 
 void encode_vc_stats(Writer& w, const vc::VcStats& s) {
@@ -240,19 +347,10 @@ TcpClusterSpec TcpLauncher::spec_from(const DriverConfig& cfg) {
 
 TcpLauncher::TcpLauncher(TcpClusterSpec spec, Options opt)
     : spec_(std::move(spec)), opt_(std::move(opt)) {
-  const std::size_t n_proto = spec_.protocol_processes();
-  if (n_proto == 0) throw ProtocolError("TcpLauncher: empty cluster");
-  net::TcpConfig ncfg;
-  ncfg.self_process = 0;
-  ncfg.election_id = spec_.params.election_id;
-  ncfg.listen_host = opt_.host;
-  ncfg.node_process.resize(n_proto);
-  // Fixed placement convention: process p hosts protocol node p-1.
-  for (std::size_t id = 0; id < n_proto; ++id) {
-    ncfg.node_process[id] = static_cast<std::uint32_t>(id + 1);
+  if (spec_.protocol_processes() == 0) {
+    throw ProtocolError("TcpLauncher: empty cluster");
   }
-  ncfg.default_process = 0;  // voters/load clients live with the launcher
-  net_ = std::make_unique<net::TcpNet>(std::move(ncfg));
+  net_ = std::make_unique<net::TcpNet>(cluster_net_config(spec_, 0, opt_.host));
 }
 
 TcpLauncher::~TcpLauncher() {
@@ -265,6 +363,15 @@ TcpLauncher::~TcpLauncher() {
   }
 }
 
+std::vector<net::TcpPeer> TcpLauncher::peer_table() const {
+  std::vector<net::TcpPeer> peers(process_count());
+  peers[0] = net::TcpPeer{opt_.host, net_->listen_port()};
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    peers[i + 1] = net::TcpPeer{opt_.host, children_[i]->data_port};
+  }
+  return peers;
+}
+
 void TcpLauncher::launch() {
   if (launched_) return;
   const std::size_t n_proto = spec_.protocol_processes();
@@ -272,7 +379,47 @@ void TcpLauncher::launch() {
       opt_.node_binary.empty() ? default_node_binary() : opt_.node_binary;
   control_listen_fd_ = net::tcp_listen(opt_.host, 0, &control_port_);
 
-  auto fail = [&](const std::string& what) {
+  try {
+    for (std::size_t p = 1; p <= n_proto; ++p) {
+      auto child = std::make_unique<Child>();
+      child->pid = spawn_node(binary, opt_.host, control_port_, p);
+      if (child->pid < 0) throw ProtocolError("fork failed");
+      children_.push_back(std::move(child));
+    }
+
+    // Accept every child's control connection; the HELLO identifies which
+    // process index dialed in (children race, order is arbitrary).
+    const auto deadline =
+        Clock::now() + std::chrono::microseconds(opt_.launch_timeout_us);
+    for (std::size_t i = 0; i < n_proto; ++i) {
+      std::uint32_t proc = 0;
+      int fd = accept_control(control_listen_fd_, deadline, proc);
+      if (proc < 1 || proc > n_proto || children_[proc - 1]->control_fd >= 0) {
+        ::close(fd);
+        throw ProtocolError("control hello from unexpected process " +
+                            std::to_string(proc));
+      }
+      children_[proc - 1]->control_fd = fd;
+      children_[proc - 1]->alive.store(true, std::memory_order_release);
+    }
+
+    const Bytes config = encode_config(spec_);
+    for (auto& child : children_) {
+      send_step(child->control_fd, kCtrlConfig, config, "config");
+    }
+    // Collect data-plane ports, then broadcast the full peer table. The
+    // ports are remembered for respawns: a recovered process must rebind
+    // its exact port, because peers never receive a second peer table.
+    for (auto& child : children_) {
+      child->data_port = read_ready(child->control_fd, deadline);
+    }
+    std::vector<net::TcpPeer> peers = peer_table();
+    const Bytes body = encode_peers(peers);
+    net_->set_peers(std::move(peers));
+    for (auto& child : children_) {
+      send_step(child->control_fd, kCtrlPeers, body, "peer table");
+    }
+  } catch (const ProtocolError& e) {
     for (auto& child : children_) {
       if (child->pid > 0) ::kill(child->pid, SIGKILL);
       if (child->control_fd >= 0) ::close(child->control_fd);
@@ -280,100 +427,8 @@ void TcpLauncher::launch() {
     children_.clear();
     ::close(control_listen_fd_);
     control_listen_fd_ = -1;
-    throw ProtocolError("TcpLauncher: " + what);
-  };
-
-  for (std::size_t p = 1; p <= n_proto; ++p) {
-    std::string port_s = std::to_string(control_port_);
-    std::string proc_s = std::to_string(p);
-    pid_t pid = ::fork();
-    if (pid < 0) fail("fork failed");
-    if (pid == 0) {
-      ::execl(binary.c_str(), binary.c_str(), "--serve", opt_.host.c_str(),
-              port_s.c_str(), proc_s.c_str(), static_cast<char*>(nullptr));
-      // exec failed (missing binary): nothing sane to do in the child.
-      std::fprintf(stderr, "ddemos_node exec failed: %s\n", binary.c_str());
-      ::_exit(127);
-    }
-    auto child = std::make_unique<Child>();
-    child->pid = pid;
-    children_.push_back(std::move(child));
-  }
-
-  // Accept every child's control connection; the first frame identifies
-  // which process index dialed in (children race, order is arbitrary).
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
-  auto remaining_us = [&]() -> sim::Duration {
-    auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                    deadline - std::chrono::steady_clock::now())
-                    .count();
-    return left > 0 ? left : 0;
-  };
-  for (std::size_t i = 0; i < n_proto; ++i) {
-    if (!wait_readable(control_listen_fd_, remaining_us())) {
-      fail("timed out waiting for node processes (binary: " + binary + ")");
-    }
-    int fd = ::accept(control_listen_fd_, nullptr, nullptr);
-    if (fd < 0) fail("accept failed on the control socket");
-    auto hello = read_ctrl(fd);
-    if (!hello || hello->first != kCtrlHello) {
-      ::close(fd);
-      fail("bad control hello");
-    }
-    Reader r(hello->second);
-    std::uint32_t proc = r.u32();
-    if (proc < 1 || proc > n_proto || children_[proc - 1]->control_fd >= 0) {
-      ::close(fd);
-      fail("control hello from unexpected process " + std::to_string(proc));
-    }
-    children_[proc - 1]->control_fd = fd;
-    children_[proc - 1]->alive.store(true, std::memory_order_release);
-  }
-
-  // Ship the cluster spec; every child deterministically recomputes its
-  // own node's EA data from (params, seed) — no artifacts on the wire.
-  {
-    Writer w;
-    spec_.encode(w);
-    w.u32(static_cast<std::uint32_t>(n_proto + 1));
-    for (auto& child : children_) {
-      if (!send_ctrl(child->control_fd, kCtrlConfig, w.data())) {
-        fail("failed to send config");
-      }
-    }
-  }
-
-  // Collect data-plane ports, then broadcast the full peer table.
-  std::vector<net::TcpPeer> peers(n_proto + 1);
-  peers[0] = net::TcpPeer{opt_.host, net_->listen_port()};
-  for (std::size_t p = 1; p <= n_proto; ++p) {
-    Child& child = *children_[p - 1];
-    if (!wait_readable(child.control_fd, remaining_us())) {
-      fail("timed out waiting for READY from process " + std::to_string(p));
-    }
-    auto ready = read_ctrl(child.control_fd);
-    if (!ready || ready->first != kCtrlReady) {
-      fail("bad READY from process " + std::to_string(p));
-    }
-    Reader r(ready->second);
-    peers[p] = net::TcpPeer{opt_.host, r.u16()};
-    // Remembered for respawns: a recovered process must rebind this exact
-    // port, because peers never receive a second peer table.
-    child.data_port = peers[p].port;
-  }
-  net_->set_peers(peers);
-  {
-    Writer w;
-    w.vec(peers, [](Writer& w2, const net::TcpPeer& peer) {
-      w2.str(peer.host);
-      w2.u16(peer.port);
-    });
-    for (auto& child : children_) {
-      if (!send_ctrl(child->control_fd, kCtrlPeers, w.data())) {
-        fail("failed to send peer table");
-      }
-    }
+    throw ProtocolError("TcpLauncher: " + std::string(e.what()) +
+                        " (binary: " + binary + ")");
   }
 
   // From here on a dedicated thread per child consumes STATUS/REPORT
@@ -482,98 +537,50 @@ void TcpLauncher::respawn_process(std::size_t process) {
 
   const std::string binary =
       opt_.node_binary.empty() ? default_node_binary() : opt_.node_binary;
-  std::string port_s = std::to_string(control_port_);
-  std::string proc_s = std::to_string(process);
-  std::string data_s = std::to_string(child.data_port);
-  std::string inc_s = std::to_string(child.incarnation);
-  pid_t pid = ::fork();
+  // Respawn arguments: rebind the predecessor's data port and announce
+  // the bumped incarnation.
+  pid_t pid = spawn_node(
+      binary, opt_.host, control_port_, process,
+      {std::to_string(child.data_port), std::to_string(child.incarnation)});
   if (pid < 0) throw ProtocolError("TcpLauncher: respawn fork failed");
-  if (pid == 0) {
-    ::execl(binary.c_str(), binary.c_str(), "--serve", opt_.host.c_str(),
-            port_s.c_str(), proc_s.c_str(), data_s.c_str(), inc_s.c_str(),
-            static_cast<char*>(nullptr));
-    std::fprintf(stderr, "ddemos_node exec failed: %s\n", binary.c_str());
-    ::_exit(127);
-  }
   child.pid = pid;
 
-  auto fail = [&](const std::string& what) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    child.pid = -1;
-    throw ProtocolError("TcpLauncher: respawn: " + what);
-  };
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
-  auto remaining_us = [&]() -> sim::Duration {
-    auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                    deadline - std::chrono::steady_clock::now())
-                    .count();
-    return left > 0 ? left : 0;
-  };
   // Same handshake as launch(), for one process. Only the respawned child
   // dials the control port mid-election, so the next accept is ours.
-  if (!wait_readable(control_listen_fd_, remaining_us())) {
-    fail("timed out waiting for HELLO");
-  }
-  int fd = ::accept(control_listen_fd_, nullptr, nullptr);
-  if (fd < 0) fail("accept failed on the control socket");
-  auto hello = read_ctrl(fd);
-  std::uint32_t proc = 0;
-  if (hello && hello->first == kCtrlHello) {
-    Reader r(hello->second);
-    proc = r.u32();
-  }
-  if (proc != process) {
-    ::close(fd);
-    fail("bad HELLO (process " + std::to_string(proc) + ")");
-  }
-  child.control_fd = fd;
-  {
-    Writer w;
-    spec_.encode(w);
-    w.u32(static_cast<std::uint32_t>(spec_.protocol_processes() + 1));
-    if (!send_ctrl(fd, kCtrlConfig, w.data())) fail("failed to send config");
-  }
-  // The child replays its WAL while rebuilding, so READY can take a while;
-  // give it the whole launch budget.
-  if (!wait_readable(fd, remaining_us())) fail("timed out waiting for READY");
-  auto ready = read_ctrl(fd);
-  if (!ready || ready->first != kCtrlReady) fail("bad READY");
-  {
-    Reader r(ready->second);
-    std::uint16_t got = r.u16();
-    if (got != child.data_port) {
-      fail("respawned process bound port " + std::to_string(got) +
-           ", expected " + std::to_string(child.data_port));
+  int fd = -1;
+  try {
+    const auto deadline =
+        Clock::now() + std::chrono::microseconds(opt_.launch_timeout_us);
+    std::uint32_t proc = 0;
+    fd = accept_control(control_listen_fd_, deadline, proc);
+    if (proc != process) {
+      throw ProtocolError("bad HELLO (process " + std::to_string(proc) + ")");
     }
-  }
-  {
-    // Rebuild the peer table from the remembered data ports (identical to
-    // the one every surviving process already holds).
-    std::vector<net::TcpPeer> peers(children_.size() + 1);
-    peers[0] = net::TcpPeer{opt_.host, net_->listen_port()};
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      peers[i + 1] = net::TcpPeer{opt_.host, children_[i]->data_port};
+    send_step(fd, kCtrlConfig, encode_config(spec_), "config");
+    std::uint16_t port = read_ready(fd, deadline);
+    if (port != child.data_port) {
+      throw ProtocolError("respawned process bound port " +
+                          std::to_string(port) + ", expected " +
+                          std::to_string(child.data_port));
     }
-    Writer w;
-    w.vec(peers, [](Writer& w2, const net::TcpPeer& peer) {
-      w2.str(peer.host);
-      w2.u16(peer.port);
-    });
-    if (!send_ctrl(fd, kCtrlPeers, w.data())) fail("failed to send peer table");
-  }
-  {
+    // The same table every surviving process already holds.
+    send_step(fd, kCtrlPeers, encode_peers(peer_table()), "peer table");
     // GO carries the launcher's election clock: the child resumes the
     // original time base, so absolute deadlines (t_end) stay meaningful.
     Writer w;
     w.u64(static_cast<std::uint64_t>(net_->now()));
-    if (!send_ctrl(fd, kCtrlGo, w.data())) fail("failed to send GO");
+    send_step(fd, kCtrlGo, w.data(), "GO");
+  } catch (const ProtocolError& e) {
+    if (fd >= 0) ::close(fd);
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    child.pid = -1;
+    throw ProtocolError("TcpLauncher: respawn: " + std::string(e.what()));
   }
+  child.control_fd = fd;
   child.alive.store(true, std::memory_order_release);
-  Child* c = &child;
-  c->reader = std::thread([this, c] { control_reader(*c); });
+  child.reader = std::thread([this, c = &child] { control_reader(*c); });
 }
 
 void TcpLauncher::reap_children() {
@@ -840,17 +847,8 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     return 2;
   }
 
-  const std::size_t n_proto = spec.protocol_processes();
-  if (process < 1 || process > n_proto) return 2;
-  net::TcpConfig ncfg;
-  ncfg.self_process = process;
-  ncfg.election_id = spec.params.election_id;
-  ncfg.listen_host = host;
-  ncfg.node_process.resize(n_proto);
-  for (std::size_t id = 0; id < n_proto; ++id) {
-    ncfg.node_process[id] = static_cast<std::uint32_t>(id + 1);
-  }
-  ncfg.default_process = 0;
+  if (process < 1 || process > spec.protocol_processes()) return 2;
+  net::TcpConfig ncfg = cluster_net_config(spec, process, host);
   // Respawn: rebind the predecessor's data port (peers keep the one peer
   // table they ever received) and announce the bumped incarnation so
   // receivers reset their per-process dedup floor.
@@ -974,7 +972,7 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
   // control EOF: the launcher died, so quit rather than linger).
   bool launcher_alive = true;
   for (;;) {
-    if (wait_readable(ctrl, 20'000)) {
+    if (wait_readable(ctrl, Clock::now() + std::chrono::milliseconds(20))) {
       auto msg = read_ctrl(ctrl);
       if (!msg) {
         launcher_alive = false;

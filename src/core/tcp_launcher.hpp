@@ -181,6 +181,9 @@ class TcpLauncher {
     std::uint64_t incarnation = 1;
   };
 
+  // Data-plane address of every process: the launcher's, then each
+  // child's remembered data port.
+  std::vector<net::TcpPeer> peer_table() const;
   void control_reader(Child& child);
   void reap_children();
 

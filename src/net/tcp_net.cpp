@@ -11,55 +11,8 @@
 
 namespace ddemos::net {
 
-class TcpNet::NodeContext final : public sim::Context {
- public:
-  NodeContext(TcpNet* net, NodeId id) : net_(net), id_(id) {}
-
-  void send(NodeId to, Buffer payload) override {
-    if (net_->process_of(to) == net_->cfg_.self_process) {
-      net_->deliver_local(to, id_, std::move(payload));
-    } else {
-      net_->send_remote(id_, to, std::move(payload));
-    }
-  }
-
-  // Intra-node coordination never touches the network.
-  void send_self(Buffer payload) override {
-    net_->deliver_local(id_, id_, std::move(payload));
-  }
-
-  std::uint64_t set_timer(Duration after) override {
-    const Entry& e = net_->entries_.at(id_);
-    LocalNode& n = *net_->locals_.at(static_cast<std::size_t>(e.local));
-    after = sim::clamp_real_timer_delay(after);
-    // Timers fire on shard 0 (the control shard; see sim::Context).
-    Shard& s = *n.shards.front();
-    std::uint64_t token = n.next_token.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::scoped_lock lk(s.mu);
-      s.timers.push_back(Timer{std::chrono::steady_clock::now() +
-                                   std::chrono::microseconds(after),
-                               token});
-    }
-    s.cv.notify_all();
-    return token;
-  }
-
-  TimePoint now() const override {
-    return net_->cfg_.clock_offset_us +
-           std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - net_->epoch_)
-               .count();
-  }
-  NodeId self() const override { return id_; }
-  void charge(Duration) override {}  // real CPU time is real here
-
- private:
-  TcpNet* net_;
-  NodeId id_;
-};
-
 TcpNet::TcpNet(TcpConfig cfg) : cfg_(std::move(cfg)) {
+  clock_offset_ = cfg_.clock_offset_us;
   listen_fd_ = tcp_listen(cfg_.listen_host, cfg_.listen_port, &listen_port_);
 }
 
@@ -84,78 +37,27 @@ std::uint32_t TcpNet::process_of(NodeId id) const {
 }
 
 NodeId TcpNet::add_node(std::unique_ptr<Process> proc, std::string name) {
-  if (running_.load(std::memory_order_acquire)) {
-    throw ProtocolError("TcpNet: add_node after start");
-  }
-  NodeId id = static_cast<NodeId>(entries_.size());
-  if (process_of(id) != cfg_.self_process) {
+  if (process_of(static_cast<NodeId>(node_count())) != cfg_.self_process) {
     // Remote placeholder: the same build code path runs in every process,
     // so ids/names stay aligned; only the locally hosted nodes are kept.
-    entries_.push_back(Entry{std::move(name), -1});
-    return id;
+    return add_placeholder(std::move(name));
   }
-  auto node = std::make_unique<LocalNode>();
-  node->proc = std::move(proc);
-  node->sharded = dynamic_cast<sim::ShardedProcess*>(node->proc.get());
-  node->ctx = std::make_unique<NodeContext>(this, id);
-  node->proc->bind(node->ctx.get());
-  std::size_t shards =
-      node->sharded ? std::max<std::size_t>(node->sharded->shard_count(), 1)
-                    : 1;
-  node->shards.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    node->shards.push_back(std::make_unique<Shard>());
-  }
-  entries_.push_back(
-      Entry{std::move(name), static_cast<std::int32_t>(locals_.size())});
-  locals_.push_back(std::move(node));
-  return id;
+  return ThreadNet::add_node(std::move(proc), std::move(name));
 }
 
 NodeId TcpNet::add_remote(std::string name) {
-  if (running_.load(std::memory_order_acquire)) {
-    throw ProtocolError("TcpNet: add_remote after start");
-  }
-  NodeId id = static_cast<NodeId>(entries_.size());
-  if (process_of(id) == cfg_.self_process) {
+  if (process_of(static_cast<NodeId>(node_count())) == cfg_.self_process) {
     throw ProtocolError("TcpNet: add_remote for a locally hosted id");
   }
-  entries_.push_back(Entry{std::move(name), -1});
-  return id;
+  return add_placeholder(std::move(name));
 }
 
-bool TcpNet::is_local(NodeId id) const {
-  return id < entries_.size() && entries_[id].local >= 0;
-}
-
-Process& TcpNet::process(NodeId id) {
-  const Entry& e = entries_.at(id);
-  if (e.local < 0) {
-    throw ProtocolError("TcpNet: node '" + e.name +
-                        "' is hosted by another process");
+void TcpNet::route(NodeId from, NodeId to, Buffer payload) {
+  if (process_of(to) == cfg_.self_process) {
+    deliver(to, from, std::move(payload));
+  } else {
+    send_remote(from, to, std::move(payload));
   }
-  return *locals_.at(static_cast<std::size_t>(e.local))->proc;
-}
-
-const std::string& TcpNet::node_name(NodeId id) const {
-  return entries_.at(id).name;
-}
-
-void TcpNet::deliver_local(NodeId to, NodeId from, Buffer payload) {
-  if (to >= entries_.size() || entries_[to].local < 0) return;  // drop
-  LocalNode& n = *locals_[static_cast<std::size_t>(entries_[to].local)];
-  std::size_t shard = 0;
-  if (n.sharded) {
-    shard = n.sharded->shard_of(from, payload);
-    if (shard >= n.shards.size()) shard = 0;
-  }
-  Shard& s = *n.shards[shard];
-  {
-    std::scoped_lock lk(s.mu);
-    s.inbox.push_back(Mail{from, std::move(payload)});
-    s.inbox_high_water = std::max(s.inbox_high_water, s.inbox.size());
-  }
-  s.cv.notify_all();
 }
 
 TcpNet::Connection& TcpNet::connection_to(std::uint32_t process) {
@@ -322,6 +224,13 @@ void TcpNet::reader_loop(Inbound& in) {
           hello.election_id != cfg_.election_id) {
         throw CodecError("tcp hello: wrong election/version");
       }
+      // No honest peer claims this process's own index or one outside the
+      // peer table; refusing them also keeps attacker-chosen indices from
+      // growing last_seq_.
+      if (hello.process == cfg_.self_process ||
+          hello.process >= peers_.size()) {
+        throw CodecError("tcp hello: unknown process");
+      }
       peer_process = hello.process;
       peer_incarnation = hello.incarnation;
     } catch (const CodecError&) {
@@ -350,6 +259,9 @@ void TcpNet::reader_loop(Inbound& in) {
   }
   while (auto frame = read_frame(fd)) {
     if (frame->first.kind != FrameKind::kData) continue;
+    // A peer speaks only for the nodes it hosts: a frame claiming another
+    // process's node is an impersonation attempt, so fail closed.
+    if (process_of(frame->first.from) != peer_process) break;
     {
       // Reconnect replay suppression: the per-source high-water mark lives
       // on the TcpNet (not the connection) so it survives redials.
@@ -363,95 +275,21 @@ void TcpNet::reader_loop(Inbound& in) {
       last = frame->first.seq;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    deliver_local(frame->first.to, frame->first.from,
-                  Buffer(std::move(frame->second)));
+    deliver(frame->first.to, frame->first.from,
+            Buffer(std::move(frame->second)));
   }
   close_in();
 }
 
 void TcpNet::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
-  epoch_ = std::chrono::steady_clock::now();
-  started_once_ = true;
   // Accept before on_start: a peer that started first may already be
   // dialing, and its pre-start traffic must queue in mailboxes, not get
-  // connection-refused into a redial cycle.
+  // connection-refused into a redial cycle. Reader threads may enqueue
+  // mail before the shard workers exist — it just sits in mailboxes.
   accept_thread_ = std::thread([this] { accept_loop(); });
-  // on_start on this thread, before any shard worker exists (identical to
-  // ThreadNet): a worker can never dispatch into an unstarted process.
-  // Reader threads may already enqueue mail — it just sits in mailboxes.
-  for (auto& node : locals_) node->proc->on_start();
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      shard->worker = std::thread(
-          [this, n = node.get(), s = shard.get()] { worker_loop(*n, *s); });
-    }
-  }
-}
-
-TimePoint TcpNet::now() const {
-  if (!started_once_) return cfg_.clock_offset_us;
-  return cfg_.clock_offset_us +
-         std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-             .count();
-}
-
-std::vector<std::size_t> TcpNet::shard_queue_high_water(NodeId id) const {
-  if (id >= entries_.size() || entries_[id].local < 0) return {};
-  const LocalNode& n = *locals_[static_cast<std::size_t>(entries_[id].local)];
-  std::vector<std::size_t> out;
-  out.reserve(n.shards.size());
-  for (auto& shard : n.shards) {
-    std::scoped_lock lk(shard->mu);
-    out.push_back(shard->inbox_high_water);
-  }
-  return out;
-}
-
-void TcpNet::notify_progress() {
-  if (progress_waiters_.load(std::memory_order_acquire) == 0) return;
-  std::unique_lock lk(progress_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return;
-  lk.unlock();
-  progress_cv_.notify_all();
-}
-
-bool TcpNet::run_to_quiescence(const std::function<bool()>& done,
-                               const sim::RunOptions& options) {
-  if (!done) {
-    throw ProtocolError(
-        "TcpNet::run_to_quiescence requires a completion predicate");
-  }
-  if (!running_.load(std::memory_order_acquire)) {
-    if (started_once_) {
-      throw ProtocolError("TcpNet: cannot run_to_quiescence after stop");
-    }
-    start();
-  }
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(options.wall_timeout_us);
-  struct WaiterGuard {
-    std::atomic<int>& count;
-    explicit WaiterGuard(std::atomic<int>& c) : count(c) {
-      count.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~WaiterGuard() { count.fetch_sub(1, std::memory_order_acq_rel); }
-  } guard(progress_waiters_);
-  std::unique_lock lk(progress_mu_);
-  for (;;) {
-    if (options.probe) options.probe();
-    if (done()) return true;
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return done();
-    // Bounded wait: remote completion signals arrive over the control
-    // socket (notify_external), local ones from workers; neither is
-    // guaranteed to land after this waiter registered, so cap the sleep.
-    progress_cv_.wait_until(
-        lk, std::min(deadline, now + std::chrono::milliseconds(100)));
-  }
+  ThreadNet::start();
 }
 
 void TcpNet::sever_connections() {
@@ -472,19 +310,9 @@ void TcpNet::sever_connections() {
 
 void TcpNet::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  stop_.store(true, std::memory_order_release);
-  // 1. Shard workers: wake and join, so node state settles first.
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      std::scoped_lock lk(shard->mu);
-      shard->cv.notify_all();
-    }
-  }
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      if (shard->worker.joinable()) shard->worker.join();
-    }
-  }
+  // 1. Shard workers: wake and join, so node state settles first. This
+  // also raises stop_, which the acceptor and redial backoff poll.
+  ThreadNet::stop();
   // 2. Outbound writers: flag, shut the socket under the write, wake, join.
   {
     std::scoped_lock lk(conns_mu_);
@@ -513,51 +341,6 @@ void TcpNet::stop() {
   // vector itself is only mutated by the (joined) accept thread.
   for (auto& in : inbound_) {
     if (in->reader.joinable()) in->reader.join();
-  }
-  running_.store(false, std::memory_order_release);
-}
-
-void TcpNet::worker_loop(LocalNode& node, Shard& shard) {
-  std::unique_lock lk(shard.mu);
-  while (!stop_.load(std::memory_order_acquire)) {
-    auto now = std::chrono::steady_clock::now();
-    std::vector<std::uint64_t> due;
-    for (auto it = shard.timers.begin(); it != shard.timers.end();) {
-      if (it->due <= now) {
-        due.push_back(it->token);
-        it = shard.timers.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (std::uint64_t token : due) {
-      lk.unlock();
-      node.proc->on_timer(token);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      notify_progress();
-      lk.lock();
-    }
-    if (!shard.inbox.empty()) {
-      Mail m = std::move(shard.inbox.front());
-      shard.inbox.pop_front();
-      lk.unlock();
-      node.proc->on_message(m.from, m.payload);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      notify_progress();
-      lk.lock();
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (shard.timers.empty()) {
-      shard.cv.wait_for(lk, std::chrono::milliseconds(50));
-    } else {
-      auto next = std::min_element(shard.timers.begin(), shard.timers.end(),
-                                   [](const Timer& a, const Timer& b) {
-                                     return a.due < b.due;
-                                   })
-                      ->due;
-      shard.cv.wait_until(lk, next);
-    }
   }
 }
 

@@ -1,12 +1,12 @@
 // Multi-process socket transport: the third sim::RuntimeHost. A TcpNet
 // instance lives in one OS process of a cluster and hosts the subset of the
 // election's nodes assigned to that process; every other node is a remote
-// placeholder, and traffic to it rides TCP. The local half is ThreadNet's
-// machinery verbatim — one worker thread per shard per node, lock-protected
-// mailboxes of shared Buffer handles, real-clock timers through the shared
-// sim::clamp_real_timer_delay bound, the same progress-notify completion
-// wait — so shard-affine dispatch semantics are identical across all three
-// backends.
+// placeholder, and traffic to it rides TCP. TcpNet *is* a ThreadNet: the
+// local half — one worker thread per shard per node, lock-protected
+// mailboxes of shared Buffer handles, real-clock timers, the progress-
+// notify completion wait — is inherited, not copied, so shard-affine
+// dispatch semantics are identical across all three backends. TcpNet adds
+// only the send route for non-local destinations and the socket plumbing.
 //
 // The remote half:
 //  * one Connection per destination process, created lazily at first send,
@@ -26,12 +26,14 @@
 //    TcpNet, surviving reconnects) and drop seq <= last, making the resend
 //    idempotent even for protocol steps that are not (VC->BB push).
 //  * an accept thread + one reader thread per inbound connection validate
-//    the HELLO (wrong election id or unknown process => connection closed)
-//    and deliver data frames into the local shard mailboxes.
+//    the HELLO (wrong election id, this process's own index or one outside
+//    the peer table => connection closed) and deliver data frames into the
+//    local shard mailboxes. A data frame whose sender is not hosted by the
+//    HELLO'd process also closes the connection: a peer speaks only for
+//    its own nodes. The HELLO itself is not authenticated (DESIGN.md 2.2).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -43,14 +45,9 @@
 #include <vector>
 
 #include "net/buffer.hpp"
-#include "sim/runtime.hpp"
+#include "net/thread_net.hpp"
 
 namespace ddemos::net {
-
-using sim::Duration;
-using sim::NodeId;
-using sim::Process;
-using sim::TimePoint;
 
 struct TcpPeer {
   std::string host = "127.0.0.1";
@@ -88,15 +85,14 @@ struct TcpConfig {
   Duration dial_backoff_max_us = 500'000;
 };
 
-class TcpNet final : public sim::RuntimeHost {
+class TcpNet final : public ThreadNet {
  public:
   // Binds the data listener immediately (so the ephemeral port can be
   // exchanged before any node exists) but accepts nothing until start().
   explicit TcpNet(TcpConfig cfg);
+  // Runs TcpNet's own stop(): ThreadNet's destructor would only stop the
+  // local half, leaving writers, the acceptor and readers running.
   ~TcpNet() override;
-
-  TcpNet(const TcpNet&) = delete;
-  TcpNet& operator=(const TcpNet&) = delete;
 
   // The bound data port (the configured one, or the ephemeral pick).
   std::uint16_t listen_port() const { return listen_port_; }
@@ -112,40 +108,20 @@ class TcpNet final : public sim::RuntimeHost {
   // Registers a remote placeholder without constructing the node at all
   // (bench clusters skip building 10^6-ballot VC state client-side).
   NodeId add_remote(std::string name);
-  bool is_local(NodeId id) const override;
 
-  // Throws ProtocolError for a remote id (the node lives in another
-  // process; callers must check is_local()).
-  Process& process(NodeId id) override;
-  const std::string& node_name(NodeId id) const override;
-  std::size_t node_count() const override { return entries_.size(); }
-
-  // on_start for local nodes on the caller's thread, then shard workers,
-  // the accept thread, and reader threads spawn.
+  // The accept thread first (a peer that started earlier may already be
+  // dialing), then ThreadNet::start: on_start for local nodes on the
+  // caller's thread, then the shard workers.
   void start() override;
-  // Joins every worker/writer/reader thread and closes every socket.
+  // Joins the shard workers first, so node state settles, then the
+  // writers, the acceptor and the readers; closes every socket.
   // Idempotent.
   void stop() override;
 
-  // Wall-clock microseconds since start() (0 before the first start),
-  // plus the configured clock offset (crash-recovery respawn).
-  TimePoint now() const override;
   // Late override of TcpConfig::clock_offset_us: a respawned node process
   // learns the election's age from the GO body, after the node rebuild.
   // Call before start().
-  void set_clock_offset(Duration offset_us) {
-    cfg_.clock_offset_us = offset_us;
-  }
-
-  using sim::RuntimeHost::run_to_quiescence;
-  bool run_to_quiescence(const std::function<bool()>& done,
-                         const sim::RunOptions& options) override;
-
-  std::vector<std::size_t> shard_queue_high_water(NodeId id) const override;
-
-  std::uint64_t events_dispatched() const override {
-    return dispatched_.load(std::memory_order_relaxed);
-  }
+  void set_clock_offset(Duration offset_us) { clock_offset_ = offset_us; }
 
   // Wakes a run_to_quiescence waiter whose predicate depends on state
   // outside the transport (launcher control-plane status updates).
@@ -178,36 +154,13 @@ class TcpNet final : public sim::RuntimeHost {
     return duplicates_suppressed_.load(std::memory_order_relaxed);
   }
 
+ protected:
+  // Local destinations go to the mailboxes, the rest over TCP. Keyed on
+  // process_of rather than is_local: unregistered ids (voters) route to
+  // default_process.
+  void route(NodeId from, NodeId to, Buffer payload) override;
+
  private:
-  class NodeContext;
-  struct Mail {
-    NodeId from;
-    Buffer payload;
-  };
-  struct Timer {
-    std::chrono::steady_clock::time_point due;
-    std::uint64_t token;
-  };
-  struct Shard {
-    std::thread worker;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Mail> inbox;
-    std::vector<Timer> timers;
-    std::size_t inbox_high_water = 0;  // guarded by mu
-  };
-  struct LocalNode {
-    std::unique_ptr<Process> proc;
-    sim::ShardedProcess* sharded = nullptr;
-    std::unique_ptr<NodeContext> ctx;
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::atomic<std::uint64_t> next_token{1};
-  };
-  // NodeId -> name + local slot (or remote placeholder).
-  struct Entry {
-    std::string name;
-    std::int32_t local = -1;  // index into locals_, -1 = remote
-  };
   struct OutFrame {
     NodeId from, to;
     std::uint64_t seq;
@@ -231,18 +184,13 @@ class TcpNet final : public sim::RuntimeHost {
   };
 
   std::uint32_t process_of(NodeId id) const;
-  void deliver_local(NodeId to, NodeId from, Buffer payload);
   void send_remote(NodeId from, NodeId to, Buffer payload);
   Connection& connection_to(std::uint32_t process);
   void writer_loop(Connection& conn);
   void accept_loop();
   void reader_loop(Inbound& in);
-  void worker_loop(LocalNode& node, Shard& shard);
-  void notify_progress();
 
   TcpConfig cfg_;
-  std::vector<Entry> entries_;
-  std::vector<std::unique_ptr<LocalNode>> locals_;
   std::vector<TcpPeer> peers_;
 
   int listen_fd_ = -1;
@@ -268,21 +216,11 @@ class TcpNet final : public sim::RuntimeHost {
   std::mutex last_seq_mu_;
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> last_seq_;
 
-  std::chrono::steady_clock::time_point epoch_;
-  bool started_once_ = false;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<int> progress_waiters_{0};
-  std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> duplicates_suppressed_{0};
-  std::mutex progress_mu_;
-  std::condition_variable progress_cv_;
-
-  friend class NodeContext;
 };
 
 }  // namespace ddemos::net

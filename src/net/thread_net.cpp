@@ -11,11 +11,12 @@ class ThreadNet::NodeContext final : public sim::Context {
   NodeContext(ThreadNet* net, NodeId id) : net_(net), id_(id) {}
 
   void send(NodeId to, Buffer payload) override {
-    net_->deliver(to, id_, std::move(payload));
+    net_->route(id_, to, std::move(payload));
   }
 
-  // This transport is already reliable, so the loopback is a plain local
-  // delivery (shard routing applies as usual).
+  // Intra-node coordination never leaves the process, and this transport
+  // is already reliable, so the loopback is a plain local delivery (shard
+  // routing applies as usual).
   void send_self(Buffer payload) override {
     net_->deliver(id_, id_, std::move(payload));
   }
@@ -24,26 +25,21 @@ class ThreadNet::NodeContext final : public sim::Context {
     Node& n = *net_->nodes_.at(id_);
     after = sim::clamp_real_timer_delay(after);
     // Timers fire on shard 0 (the control shard; see sim::Context). Any
-    // shard worker — and stop()/start() — may touch the timer list, so
+    // shard worker — and stop()/start() — may touch the timer heap, so
     // take the shard lock.
     Shard& s = *n.shards.front();
     std::uint64_t token = n.next_token.fetch_add(1, std::memory_order_relaxed);
     {
       std::scoped_lock lk(s.mu);
-      s.timers.push_back(
-          Timer{std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(after),
-                token});
+      s.timers.push(Timer{std::chrono::steady_clock::now() +
+                              std::chrono::microseconds(after),
+                          token});
     }
     s.cv.notify_all();
     return token;
   }
 
-  TimePoint now() const override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - net_->epoch_)
-        .count();
-  }
+  TimePoint now() const override { return net_->now(); }
   NodeId self() const override { return id_; }
   void charge(Duration) override {}  // real CPU time is real here
 
@@ -55,37 +51,53 @@ class ThreadNet::NodeContext final : public sim::Context {
 ThreadNet::ThreadNet() = default;
 ThreadNet::~ThreadNet() { stop(); }
 
-NodeId ThreadNet::add_node(std::unique_ptr<Process> proc, std::string name) {
+NodeId ThreadNet::add_placeholder(std::string name) {
   if (running_.load(std::memory_order_acquire)) {
-    throw ProtocolError("ThreadNet: add_node after start");
+    throw ProtocolError("ThreadNet: node '" + name + "' added after start");
   }
-  NodeId id = static_cast<NodeId>(nodes_.size());
   auto node = std::make_unique<Node>();
-  node->proc = std::move(proc);
-  node->sharded = dynamic_cast<sim::ShardedProcess*>(node->proc.get());
-  node->ctx = std::make_unique<NodeContext>(this, id);
   node->name = std::move(name);
-  node->proc->bind(node->ctx.get());
-  std::size_t shards =
-      node->sharded ? std::max<std::size_t>(node->sharded->shard_count(), 1)
-                    : 1;
-  node->shards.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    node->shards.push_back(std::make_unique<Shard>());
-  }
   nodes_.push_back(std::move(node));
+  return static_cast<NodeId>(nodes_.size() - 1);
+}
+
+NodeId ThreadNet::add_node(std::unique_ptr<Process> proc, std::string name) {
+  NodeId id = add_placeholder(std::move(name));
+  Node& node = *nodes_.back();
+  node.proc = std::move(proc);
+  node.sharded = dynamic_cast<sim::ShardedProcess*>(node.proc.get());
+  node.ctx = std::make_unique<NodeContext>(this, id);
+  node.proc->bind(node.ctx.get());
+  std::size_t shards =
+      node.sharded ? std::max<std::size_t>(node.sharded->shard_count(), 1)
+                   : 1;
+  node.shards.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    node.shards.push_back(std::make_unique<Shard>());
+  }
   return id;
 }
 
-Process& ThreadNet::process(NodeId id) { return *nodes_.at(id)->proc; }
+bool ThreadNet::is_local(NodeId id) const {
+  return id < nodes_.size() && nodes_[id]->proc != nullptr;
+}
+
+Process& ThreadNet::process(NodeId id) {
+  const Node& n = *nodes_.at(id);
+  if (!n.proc) {
+    throw ProtocolError("ThreadNet: node '" + n.name +
+                        "' is hosted by another process");
+  }
+  return *n.proc;
+}
 
 const std::string& ThreadNet::node_name(NodeId id) const {
   return nodes_.at(id)->name;
 }
 
 void ThreadNet::deliver(NodeId to, NodeId from, Buffer payload) {
-  if (to >= nodes_.size()) return;  // unknown destination: drop
-  Node& n = *nodes_.at(to);
+  if (!is_local(to)) return;  // unknown or remote destination: drop
+  Node& n = *nodes_[to];
   // Shard-affine dispatch: the sender thread resolves the owning shard
   // from the message header, so same-shard handlers serialize through one
   // mailbox and cross-shard traffic never contends.
@@ -112,7 +124,9 @@ void ThreadNet::start() {
   // on_start runs on this thread, for every node, before any worker
   // exists: a shard worker can therefore never dispatch a message into a
   // process that has not started (on_start sends/timers just queue).
-  for (auto& node : nodes_) node->proc->on_start();
+  for (auto& node : nodes_) {
+    if (node->proc) node->proc->on_start();
+  }
   for (auto& node : nodes_) {
     for (auto& shard : node->shards) {
       shard->worker = std::thread(
@@ -122,14 +136,16 @@ void ThreadNet::start() {
 }
 
 sim::TimePoint ThreadNet::now() const {
-  if (!started_once_) return 0;
-  return std::chrono::duration_cast<std::chrono::microseconds>(
+  if (!started_once_) return clock_offset_;
+  return clock_offset_ +
+         std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - epoch_)
-      .count();
+             .count();
 }
 
 std::vector<std::size_t> ThreadNet::shard_queue_high_water(NodeId id) const {
-  const Node& n = *nodes_.at(id);
+  if (!is_local(id)) return {};
+  const Node& n = *nodes_[id];
   std::vector<std::size_t> out;
   out.reserve(n.shards.size());
   for (auto& shard : n.shards) {
@@ -187,6 +203,8 @@ bool ThreadNet::run_to_quiescence(const std::function<bool()>& done,
     // Bounded wait: a worker that read progress_waiters_ just before this
     // waiter registered may skip one notify, so cap the sleep instead of
     // trusting every wakeup to arrive (recurring timers re-notify anyway).
+    // TcpNet's control-plane updates notify from outside the workers and
+    // are no better ordered against the registration.
     progress_cv_.wait_until(
         lk, std::min(deadline, now + std::chrono::milliseconds(100)));
   }
@@ -216,15 +234,11 @@ void ThreadNet::worker_loop(Node& node, Shard& shard) {
   std::unique_lock lk(shard.mu);
   while (!stop_.load(std::memory_order_acquire)) {
     auto now = std::chrono::steady_clock::now();
-    // Fire due timers.
+    // Fire due timers, earliest first (equal deadlines in arm order).
     std::vector<std::uint64_t> due;
-    for (auto it = shard.timers.begin(); it != shard.timers.end();) {
-      if (it->due <= now) {
-        due.push_back(it->token);
-        it = shard.timers.erase(it);
-      } else {
-        ++it;
-      }
+    while (!shard.timers.empty() && shard.timers.top().due <= now) {
+      due.push_back(shard.timers.top().token);
+      shard.timers.pop();
     }
     for (std::uint64_t token : due) {
       lk.unlock();
@@ -248,12 +262,7 @@ void ThreadNet::worker_loop(Node& node, Shard& shard) {
     if (shard.timers.empty()) {
       shard.cv.wait_for(lk, std::chrono::milliseconds(50));
     } else {
-      auto next = std::min_element(shard.timers.begin(), shard.timers.end(),
-                                   [](const Timer& a, const Timer& b) {
-                                     return a.due < b.due;
-                                   })
-                      ->due;
-      shard.cv.wait_until(lk, next);
+      shard.cv.wait_until(lk, shard.timers.top().due);
     }
   }
 }

@@ -128,12 +128,13 @@ struct RunOptions {
   std::size_t probe_interval = 1024;
 };
 
-// Common node-hosting surface implemented by both runtimes
-// (sim::Simulation and net::ThreadNet). Election builders and tests are
+// Common node-hosting surface implemented by all three runtimes:
+// sim::Simulation, net::ThreadNet and net::TcpNet (a ThreadNet whose
+// remote nodes are reached over TCP). Election builders and tests are
 // written against this interface so the exact same protocol topology can be
-// hosted on either backend without parallel code paths; runtime-specific
-// concerns (link models, crash injection, virtual-time stepping) stay on
-// the concrete classes.
+// hosted on any backend without parallel code paths; runtime-specific
+// concerns (link models, crash injection, virtual-time stepping, sockets)
+// stay on the concrete classes.
 class RuntimeHost {
  public:
   virtual ~RuntimeHost() = default;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "net/tcp_net.hpp"
 #include "net/thread_net.hpp"
 #include "sim/sim.hpp"
 #include "util/error.hpp"
@@ -251,6 +252,59 @@ TEST(ThreadNet, TimersFire) {
   EXPECT_TRUE(net.run_to_quiescence([&] { return timer.fired.load(); }, opts));
   net.stop();
   EXPECT_TRUE(timer.fired);
+}
+
+// Arms timers out of due order, two of them with equal delays, and
+// records the order in which their tokens fire.
+class TimerOrder : public Process {
+ public:
+  void on_start() override {
+    for (Duration after : {30'000, 10'000, 20'000, 15'000, 15'000}) {
+      armed.push_back(ctx().set_timer(after));
+    }
+  }
+  void on_message(NodeId, const net::Buffer&) override {}
+  void on_timer(std::uint64_t token) override {
+    fired.push_back(token);  // timers all fire on the one control shard
+    count.fetch_add(1, std::memory_order_release);
+  }
+  std::vector<std::uint64_t> armed, fired;
+  std::atomic<std::size_t> count{0};
+};
+
+// The two real-clock hosts share one dispatcher; run the timer-order
+// contract on both (TcpNet with a single process hosts every node).
+template <class Host>
+std::unique_ptr<Host> make_real_clock_host();
+template <>
+std::unique_ptr<net::ThreadNet> make_real_clock_host() {
+  return std::make_unique<net::ThreadNet>();
+}
+template <>
+std::unique_ptr<net::TcpNet> make_real_clock_host() {
+  net::TcpConfig cfg;
+  cfg.election_id = to_bytes("timer-order");
+  return std::make_unique<net::TcpNet>(std::move(cfg));
+}
+
+template <class Host>
+class RealClockHost : public ::testing::Test {};
+using RealClockHosts = ::testing::Types<net::ThreadNet, net::TcpNet>;
+TYPED_TEST_SUITE(RealClockHost, RealClockHosts);
+
+TYPED_TEST(RealClockHost, TimersFireInDueOrderTiesInArmOrder) {
+  auto host = make_real_clock_host<TypeParam>();
+  host->add_node(std::make_unique<TimerOrder>(), "timers");
+  ASSERT_TRUE(host->is_local(0));
+  auto& proc = dynamic_cast<TimerOrder&>(host->process(0));
+  RunOptions opts;
+  opts.wall_timeout_us = 5'000'000;
+  EXPECT_TRUE(host->run_to_quiescence(
+      [&] { return proc.count.load(std::memory_order_acquire) == 5; }, opts));
+  host->stop();
+  const auto& a = proc.armed;  // delays 30, 10, 20, 15, 15 ms
+  EXPECT_EQ(proc.fired,
+            (std::vector<std::uint64_t>{a[1], a[3], a[4], a[2], a[0]}));
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // TcpNet transport unit tests: wire framing, the shared real-clock timer
 // clamp, loopback delivery between two in-process TcpNet instances (two
 // "OS processes" of a cluster hosted in one test binary), reconnect after
-// a sever, and send-side backpressure against an unreachable peer.
+// a sever, send-side backpressure against an unreachable peer, and the
+// fail-closed frame-origin rule against a raw impersonating client.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <thread>
@@ -260,6 +264,74 @@ TEST(TcpNet, BackpressureDropsInsteadOfWedging) {
   EXPECT_GT(net.frames_dropped(), 0u);
   EXPECT_LE(net.frames_sent(), 4u);  // nothing ever connected
   net.stop();  // and tear down cleanly with a non-empty queue
+}
+
+// Raw client speaking the wire protocol by hand: dials `net`'s data port
+// and opens with a well-formed HELLO claiming `process`.
+int dial_as(const TcpNet& net, std::uint32_t process) {
+  int fd = tcp_dial("127.0.0.1", net.listen_port());
+  EXPECT_GE(fd, 0);
+  FrameHeader h;
+  h.kind = FrameKind::kHello;
+  h.from = process;
+  Bytes hello =
+      HelloBody{kFrameVersion, process, 1, to_bytes("tcp-net-test")}.encode();
+  EXPECT_TRUE(write_frame(fd, h, hello));
+  return fd;
+}
+
+bool send_data(int fd, sim::NodeId from, sim::NodeId to, std::uint64_t seq) {
+  FrameHeader h;
+  h.kind = FrameKind::kData;
+  h.from = from;
+  h.to = to;
+  h.seq = seq;
+  Writer w;
+  w.u64(0);  // Echo answers any payload
+  return write_frame(fd, h, w.data());
+}
+
+// True once the receiver has closed the connection (EOF or reset). The
+// receiver never writes on an inbound connection, so readable means closed.
+bool closed_by_peer(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, static_cast<int>(scaled(5'000'000) / 1000)) <= 0) {
+    return false;
+  }
+  char byte;
+  return ::recv(fd, &byte, 1, 0) <= 0;
+}
+
+TEST(TcpNet, ImpersonatedFramesCloseTheConnection) {
+  Cluster c(1, scaled(5'000'000));
+  c.b.start();  // process 1 hosts echo (node 1); process 0 stays silent
+
+  // A HELLO naming the receiver's own process, or one outside the peer
+  // table, is refused before any data frame is read.
+  for (std::uint32_t bogus : {1u, 2u, 0xffffffffu}) {
+    int fd = dial_as(c.b, bogus);
+    EXPECT_TRUE(closed_by_peer(fd)) << "hello as process " << bogus;
+    ::close(fd);
+  }
+
+  // A valid HELLO as process 0: a frame from node 0 (hosted there) is
+  // delivered; one claiming node 1 (hosted by process 1) closes the
+  // connection and never reaches the Echo node.
+  int fd = dial_as(c.b, 0);
+  ASSERT_TRUE(send_data(fd, /*from=*/0, /*to=*/1, /*seq=*/1));
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::microseconds(scaled(5'000'000));
+  while (c.echo->received() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(c.echo->received(), 1u);
+  ASSERT_TRUE(send_data(fd, /*from=*/1, /*to=*/1, /*seq=*/2));
+  EXPECT_TRUE(closed_by_peer(fd));
+  ::close(fd);
+  c.b.stop();
+  EXPECT_EQ(c.echo->received(), 1u);
+  EXPECT_EQ(c.b.frames_received(), 1u);
 }
 
 }  // namespace
