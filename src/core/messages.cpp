@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "crypto/schnorr.hpp"
+#include "crypto/batch.hpp"
 
 namespace ddemos::core {
 
@@ -115,12 +115,32 @@ Ucert Ucert::decode(Reader& r) {
 bool Ucert::valid(BytesView election_id, Serial serial,
                   const std::vector<Bytes>& vc_public_keys,
                   std::size_t threshold) const {
+  return valid(election_id, serial, crypto::decode_public_keys(vc_public_keys),
+               threshold);
+}
+
+bool Ucert::valid(BytesView election_id, Serial serial,
+                  const std::vector<crypto::PublicKey>& vc_keys,
+                  std::size_t threshold) const {
   Bytes digest = endorsement_digest(election_id, serial, vote_code);
+  // Fast path: the first threshold distinct in-range signers, one batch.
+  // If they all verify, the per-signature pass below would accept too.
+  std::vector<crypto::KeyedSchnorrInstance> quorum;
   std::set<std::uint32_t> seen;
+  for (const auto& [idx, sig] : signatures) {
+    if (quorum.size() == threshold) break;
+    if (idx >= vc_keys.size() || !seen.insert(idx).second) continue;
+    quorum.push_back({&vc_keys[idx], digest, sig});
+  }
+  if (quorum.size() < threshold) return false;
+  if (threshold > 0 && crypto::schnorr_verify_keyed_batch(quorum)) {
+    return true;
+  }
+  seen.clear();
   std::size_t good = 0;
   for (const auto& [idx, sig] : signatures) {
-    if (idx >= vc_public_keys.size() || seen.count(idx)) continue;
-    if (!crypto::schnorr_verify(vc_public_keys[idx], digest, sig)) continue;
+    if (idx >= vc_keys.size() || seen.count(idx)) continue;
+    if (!crypto::schnorr_verify(vc_keys[idx], digest, sig)) continue;
     seen.insert(idx);
     if (++good >= threshold) return true;
   }

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "core/types.hpp"
+#include "crypto/schnorr.hpp"
 #include "util/bitmap.hpp"
 
 namespace ddemos::core {
@@ -98,9 +99,16 @@ struct Ucert {
 
   void encode(Writer& w) const;
   static Ucert decode(Reader& r);
-  // Validates threshold-many correct signatures from distinct nodes.
+  // Validates threshold-many correct signatures from distinct nodes. The
+  // first threshold distinct in-range signers are checked with one batch
+  // verification; only if that fails does a per-signature pass decide, so
+  // the verdict is the per-signature one.
   bool valid(BytesView election_id, Serial serial,
              const std::vector<Bytes>& vc_public_keys,
+             std::size_t threshold) const;
+  // The same check against keys decoded once (a VC node's own cache).
+  bool valid(BytesView election_id, Serial serial,
+             const std::vector<crypto::PublicKey>& vc_keys,
              std::size_t threshold) const;
 };
 

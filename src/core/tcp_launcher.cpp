@@ -197,6 +197,7 @@ void encode_shard_stats(Writer& w, const vc::VcShardStats& s) {
   w.u64(s.receipts_issued);
   w.u64(s.rejected_votes);
   w.u64(s.endorsements_signed);
+  w.u64(s.ucert_verifies);
   w.u64(s.queue_high_water);
 }
 
@@ -207,6 +208,7 @@ vc::VcShardStats decode_shard_stats(Reader& r) {
   s.receipts_issued = r.u64();
   s.rejected_votes = r.u64();
   s.endorsements_signed = r.u64();
+  s.ucert_verifies = r.u64();
   s.queue_high_water = r.u64();
   return s;
 }

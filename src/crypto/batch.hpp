@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "crypto/pedersen.hpp"
+#include "crypto/schnorr.hpp"
 #include "crypto/zkp.hpp"
 
 namespace ddemos::util {
@@ -33,6 +34,14 @@ struct SchnorrInstance {
 };
 bool schnorr_verify_batch(std::span<const SchnorrInstance> xs,
                           util::ThreadPool* pool = nullptr);
+// Instances whose keys are decoded already (see PublicKey); views into
+// caller-owned bytes. Used for short batches on the VC receipt path, so
+// there is no chunked parallel form.
+struct KeyedSchnorrInstance {
+  const PublicKey* pk;
+  BytesView msg, sig;
+};
+bool schnorr_verify_keyed_batch(std::span<const KeyedSchnorrInstance> xs);
 
 struct BitProofInstance {
   ElGamalCipher cipher;

@@ -21,8 +21,30 @@ KeyPair schnorr_keygen(Rng& rng) {
   return KeyPair{sk, ec_encode(ec_mul_g(sk))};
 }
 
+PublicKey decode_public_key(BytesView pk) {
+  PublicKey key;
+  key.enc.assign(pk.begin(), pk.end());
+  if (pk.size() != 33) return key;
+  try {
+    key.point = ec_decode(pk);
+    key.valid = true;
+  } catch (const CryptoError&) {
+  }
+  return key;
+}
+
+std::vector<PublicKey> decode_public_keys(const std::vector<Bytes>& pks) {
+  std::vector<PublicKey> keys;
+  keys.reserve(pks.size());
+  for (const Bytes& pk : pks) keys.push_back(decode_public_key(pk));
+  return keys;
+}
+
 Bytes schnorr_sign(const Fn& sk, BytesView msg) {
-  Bytes pk = ec_encode(ec_mul_g(sk));
+  return schnorr_sign(sk, ec_encode(ec_mul_g(sk)), msg);
+}
+
+Bytes schnorr_sign(const Fn& sk, BytesView pk, BytesView msg) {
   // Deterministic nonce: H(sk || msg), reduced into the scalar field.
   Sha256 nh;
   nh.update(to_bytes("ddemos/schnorr/nonce"));
@@ -39,16 +61,20 @@ Bytes schnorr_sign(const Fn& sk, BytesView msg) {
 }
 
 bool schnorr_verify(BytesView pk, BytesView msg, BytesView sig) {
-  if (sig.size() != 65 || pk.size() != 33) return false;
+  if (sig.size() != 65) return false;  // before paying for the decode
+  return schnorr_verify(decode_public_key(pk), msg, sig);
+}
+
+bool schnorr_verify(const PublicKey& pk, BytesView msg, BytesView sig) {
+  if (sig.size() != 65 || !pk.valid) return false;
   try {
     Point r = ec_decode(sig.subspan(0, 33));
     Fn s = Fn::from_bytes_mod(sig.subspan(33));
-    Point pub = ec_decode(pk);
-    Fn e = schnorr_challenge(sig.subspan(0, 33), pk, msg);
+    Fn e = schnorr_challenge(sig.subspan(0, 33), pk.enc, msg);
     // s*G - e*P - R == 0: one interleaved Strauss double-mul plus one
     // mixed addition (R arrives normalized from ec_decode), no ec_eq
     // cross-multiplication.
-    Point acc = ec_mul2(e, ec_neg(pub), s);
+    Point acc = ec_mul2(e, ec_neg(pk.point), s);
     AffinePoint ra = to_affine(r);
     if (!ra.infinity) ra.y = ra.y.neg();
     return ec_add_mixed(acc, ra).is_infinity();

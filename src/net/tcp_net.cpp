@@ -1,5 +1,6 @@
 #include "net/tcp_net.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,13 +15,20 @@ namespace ddemos::net {
 TcpNet::TcpNet(TcpConfig cfg) : cfg_(std::move(cfg)) {
   clock_offset_ = cfg_.clock_offset_us;
   listen_fd_ = tcp_listen(cfg_.listen_host, cfg_.listen_port, &listen_port_);
+  int wake[2];
+  if (::pipe2(wake, O_CLOEXEC | O_NONBLOCK) != 0) {
+    ::close(listen_fd_);
+    throw ProtocolError("TcpNet: pipe2() failed");
+  }
+  wake_rd_ = wake[0];
+  wake_wr_ = wake[1];
 }
 
 TcpNet::~TcpNet() {
   stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  for (int* fd : {&listen_fd_, &wake_rd_, &wake_wr_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
@@ -184,10 +192,17 @@ void TcpNet::writer_loop(Connection& conn) {
 }
 
 void TcpNet::accept_loop() {
+  pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
   while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
+    if (::poll(pfds, 2, -1) <= 0) continue;
+    if (pfds[1].revents != 0) {
+      // Woken by stop() (or a byte left over from an earlier stop):
+      // drain the pipe and re-check stop_.
+      char buf[16];
+      while (::read(wake_rd_, buf, sizeof buf) > 0) {
+      }
+      continue;
+    }
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::scoped_lock lk(inbound_mu_);
@@ -311,7 +326,7 @@ void TcpNet::sever_connections() {
 void TcpNet::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   // 1. Shard workers: wake and join, so node state settles first. This
-  // also raises stop_, which the acceptor and redial backoff poll.
+  // also raises stop_, which the acceptor and redial backoff check.
   ThreadNet::stop();
   // 2. Outbound writers: flag, shut the socket under the write, wake, join.
   {
@@ -329,7 +344,11 @@ void TcpNet::stop() {
       if (conn->writer.joinable()) conn->writer.join();
     }
   }
-  // 3. Accept loop (polls stop_ every 100ms), then inbound readers.
+  // 3. Accept loop (woken through the self-pipe), then inbound readers.
+  const char wake = 1;
+  if (::write(wake_wr_, &wake, 1) < 0) {
+    // Pipe full: a wake byte is already pending.
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::scoped_lock lk(inbound_mu_);

@@ -196,6 +196,10 @@ class TcpNet final : public ThreadNet {
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   std::thread accept_thread_;
+  // Self-pipe: the acceptor's poll() has no timeout; stop() writes a byte
+  // here to wake it.
+  int wake_rd_ = -1;
+  int wake_wr_ = -1;
 
   // Outbound connections, keyed by destination process. The map is
   // populated lazily under conns_mu_; Connection objects are stable once

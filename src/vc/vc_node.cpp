@@ -1,6 +1,8 @@
 #include "vc/vc_node.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
@@ -30,6 +32,8 @@ VcNode::VcNode(VcInit init, std::shared_ptr<store::BallotDataSource> source,
                std::vector<NodeId> vc_ids, std::vector<NodeId> bb_ids,
                Options options)
     : init_(std::move(init)),
+      vc_keys_(crypto::decode_public_keys(init_.vc_public_keys)),
+      own_pk_(crypto::ec_encode(crypto::ec_mul_g(init_.signing_key))),
       source_(std::move(source)),
       vc_ids_(std::move(vc_ids)),
       bb_ids_(std::move(bb_ids)),
@@ -328,6 +332,7 @@ bool VcNode::verify_receipt_share(const VcBallotInit& ballot,
 }
 
 bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
+  ++stats_for(serial).ucert_verifies;
   if (opt_.model_signatures) {
     ctx().charge(opt_.verify_cost_us *
                  static_cast<sim::Duration>(init_.params.vc_quorum()));
@@ -338,7 +343,7 @@ bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
     }
     return distinct.size() >= init_.params.vc_quorum();
   }
-  return ucert.valid(init_.params.election_id, serial, init_.vc_public_keys,
+  return ucert.valid(init_.params.election_id, serial, vc_keys_,
                      init_.params.vc_quorum());
 }
 
@@ -351,7 +356,7 @@ Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
     return fake;
   }
   return crypto::schnorr_sign(
-      init_.signing_key,
+      init_.signing_key, own_pk_,
       endorsement_digest(init_.params.election_id, serial, code));
 }
 
@@ -532,7 +537,7 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
   if (!opt_.model_signatures) {
     Bytes digest =
         endorsement_digest(init_.params.election_id, m.serial, m.vote_code);
-    if (!crypto::schnorr_verify(init_.vc_public_keys[m.node_index], digest,
+    if (!crypto::schnorr_verify(vc_keys_[m.node_index], digest,
                                 m.signature)) {
       return;
     }
@@ -552,7 +557,9 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
     st.line = es.line;
   }
   st.ucert.vote_code = es.code;
-  st.ucert.signatures.assign(es.sigs.begin(), es.sigs.end());
+  st.ucert.signatures.assign(std::make_move_iterator(es.sigs.begin()),
+                             std::make_move_iterator(es.sigs.end()));
+  es.sigs = {};
   wal_log_ucert(*inst, st);
   send_own_vote_p(m.serial, st);
 }
@@ -572,7 +579,11 @@ void VcNode::send_own_vote_p(Serial serial, BallotState& st) {
   vp.receipt_share = li.receipt_share;
   vp.share_path = li.share_path;
   vp.ucert = st.ucert;
-  multicast_vc(vp.encode());
+  // Peers only: our own share is already in st.shares.
+  net::Buffer msg = vp.encode();
+  for (NodeId id : vc_ids_) {
+    if (id != ctx().self()) ctx().send(id, msg);
+  }
   complete_vote(serial, st);
 }
 
@@ -583,7 +594,16 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
   if (m.ucert.vote_code != m.vote_code) return;
   auto inst = instance_of(m.serial);
   if (!inst) return;
-  if (!verify_ucert(m.serial, m.ucert)) return;
+  // Each ballot's UCERT is verified once. A pending or voted ballot holds
+  // a verified certificate already: a VOTE_P for another code is rejected
+  // (two certified codes need a forged quorum), one for the same code adds
+  // only its receipt share, and nothing once the receipt is out.
+  BallotState& st = state_at(*inst);
+  if (st.status != BallotStatus::kNotVoted) {
+    if (st.code != m.vote_code || st.status == BallotStatus::kVoted) return;
+  } else if (!verify_ucert(m.serial, m.ucert)) {
+    return;
+  }
   auto ballot = find_ballot(m.serial);
   if (!ballot) return;
   // The sender claims (part, line); verify the code actually hashes there.
@@ -599,16 +619,13 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
                             m.share_path)) {
     return;
   }
-  BallotState& st = state_at(*inst);
   if (st.status == BallotStatus::kNotVoted) {
     st.status = BallotStatus::kPending;
     st.code = m.vote_code;
     st.part = m.part;
     st.line = m.line;
-    st.ucert = m.ucert;
+    st.ucert = std::move(m.ucert);
     wal_log_ucert(*inst, st);
-  } else if (st.code != m.vote_code) {
-    return;  // conflicting certified code: impossible unless keys broken
   }
   st.shares[m.receipt_share.x] = m.receipt_share;
   if (!st.vote_p_sent) send_own_vote_p(m.serial, st);
@@ -628,6 +645,7 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
   for (int i = 24; i < 32; ++i) receipt = receipt << 8 | be[static_cast<std::size_t>(i)];
   st.receipt = receipt;
   st.status = BallotStatus::kVoted;
+  st.shares = {};  // later VOTE_Ps for this ballot are dropped unread
   // Log before the receipt leaves the node: under FsyncPolicy::kAlways an
   // issued receipt is durable, so a restarted collector re-serves the
   // exact same receipt to a resubmitting voter.
@@ -638,11 +656,10 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
     net::Buffer reply =
         VoteReplyMsg{serial, VoteReplyStatus::kOk, receipt}.encode();
     VcShardStats& ss = stats_for(serial);
-    for (NodeId voter : st.waiters) {
+    for (NodeId voter : std::exchange(st.waiters, {})) {
       ++ss.receipts_issued;
       ctx().send(voter, reply);
     }
-    st.waiters.clear();
   }
 }
 

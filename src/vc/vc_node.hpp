@@ -82,6 +82,9 @@ struct VcShardStats {
   std::uint64_t receipts_issued = 0;
   std::uint64_t rejected_votes = 0;
   std::uint64_t endorsements_signed = 0;
+  // UCERTs checked (real or modeled) on VOTE_P or announce/recovery
+  // adoption; a VOTE_P for a ballot already certified skips the check.
+  std::uint64_t ucert_verifies = 0;
   std::uint64_t queue_high_water = 0;
 };
 
@@ -163,7 +166,8 @@ class VcNode final : public sim::ShardedProcess {
     std::uint8_t part = 0;
     std::uint32_t line = 0;
     core::Ucert ucert;
-    std::map<std::uint32_t, crypto::Share> shares;  // by 1-based node x
+    // By 1-based node x; freed once the receipt is reconstructed.
+    std::map<std::uint32_t, crypto::Share> shares;
     std::uint64_t receipt = 0;
     bool vote_p_sent = false;
     std::vector<sim::NodeId> waiters;  // voters awaiting the receipt
@@ -173,7 +177,7 @@ class VcNode final : public sim::ShardedProcess {
     Bytes code;
     std::uint8_t part = 0;
     std::uint32_t line = 0;
-    std::map<std::uint32_t, Bytes> sigs;
+    std::map<std::uint32_t, Bytes> sigs;  // moved into the UCERT on forming
     bool ucert_formed = false;
   };
   // Cache-line padded so shards writing adjacent slots never false-share.
@@ -251,6 +255,10 @@ class VcNode final : public sim::ShardedProcess {
   std::optional<core::VcBallotInit> find_ballot(core::Serial serial);
 
   core::VcInit init_;
+  // init_.vc_public_keys decoded once, and this node's own key encoding
+  // (hashed into every signature it makes).
+  std::vector<crypto::PublicKey> vc_keys_;
+  Bytes own_pk_;
   std::shared_ptr<store::BallotDataSource> source_;
   std::vector<sim::NodeId> vc_ids_;
   std::vector<sim::NodeId> bb_ids_;

@@ -118,6 +118,49 @@ TEST(Schnorr, RejectsWrongKey) {
   EXPECT_FALSE(schnorr_verify(kp2.pk, msg, schnorr_sign(kp1.sk, msg)));
 }
 
+TEST(Schnorr, SignWithKnownPublicKeyIsByteIdentical) {
+  Rng rng(29);
+  for (int i = 0; i < 8; ++i) {
+    KeyPair kp = schnorr_keygen(rng);
+    Bytes msg = rng.bytes(static_cast<std::size_t>(i) * 7);
+    EXPECT_EQ(schnorr_sign(kp.sk, kp.pk, msg), schnorr_sign(kp.sk, msg));
+  }
+}
+
+TEST(Schnorr, DecodedKeyVerifyAgreesWithEncodedKey) {
+  Rng rng(30);
+  KeyPair kp = schnorr_keygen(rng);
+  KeyPair other = schnorr_keygen(rng);
+  const PublicKey key = decode_public_key(kp.pk);
+  const PublicKey other_key = decode_public_key(other.pk);
+  ASSERT_TRUE(key.valid);
+  Bytes msg = to_bytes("ENDORSEMENT serial=17 vote-code=abc");
+  Bytes sig = schnorr_sign(kp.sk, msg);
+  Bytes tampered = sig;
+  tampered[40] ^= 1;
+  struct Case {
+    const PublicKey& key;
+    const Bytes& pk;
+    Bytes msg, sig;
+  };
+  for (const Case& c : {Case{key, kp.pk, msg, sig},
+                        Case{key, kp.pk, to_bytes("0ther"), sig},
+                        Case{key, kp.pk, msg, tampered},
+                        Case{key, kp.pk, msg, Bytes(64)},
+                        Case{other_key, other.pk, msg, sig}}) {
+    EXPECT_EQ(schnorr_verify(c.key, c.msg, c.sig),
+              schnorr_verify(c.pk, c.msg, c.sig));
+  }
+  EXPECT_TRUE(schnorr_verify(key, msg, sig));
+  EXPECT_FALSE(schnorr_verify(key, msg, tampered));
+  EXPECT_FALSE(schnorr_verify(other_key, msg, sig));
+  // An encoding that does not decode yields a key nothing verifies under.
+  Bytes bad = kp.pk;
+  bad[0] = 0x07;
+  EXPECT_FALSE(decode_public_key(bad).valid);
+  EXPECT_FALSE(schnorr_verify(decode_public_key(bad), msg, sig));
+}
+
 TEST(ElGamal, HomomorphicAddition) {
   Rng rng(29);
   Point key = ec_mul_g(random_scalar(rng));

@@ -199,6 +199,9 @@ TEST(RuntimeParity, ShardedElectionAgreesAcrossBackends) {
             << "vc" << n << " shard " << s;
         EXPECT_EQ(net_s.endorsements_signed, sim_s.endorsements_signed)
             << "vc" << n << " shard " << s;
+        // UCERT verifies take the same once-per-ballot branch on both.
+        EXPECT_EQ(net_s.ucert_verifies, sim_s.ucert_verifies)
+            << "vc" << n << " shard " << s;
       }
     }
   }

@@ -3,8 +3,11 @@
 // attempts, bogus VOTE_P messages).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/messages.hpp"
 #include "core/driver.hpp"
+#include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
 
 namespace ddemos::core {
@@ -237,6 +240,255 @@ TEST(VcProtocol, UcertValidationRules) {
   oob.signatures[0].first = 99;
   EXPECT_FALSE(oob.valid(init.params.election_id, serial,
                          init.vc_public_keys, 3));
+  // A bad signature among the first quorum fails the batch check; the
+  // per-signature fallback still finds 3 good ones out of 4.
+  Ucert four = u;
+  four.signatures.push_back(
+      {3, crypto::schnorr_sign(f.runner->artifacts().vc_inits[3].signing_key,
+                               digest)});
+  four.signatures[0].second[40] ^= 1;
+  EXPECT_TRUE(four.valid(init.params.election_id, serial,
+                         init.vc_public_keys, 3));
+  // With only 3 signatures, one bad one leaves no quorum.
+  Ucert three = u;
+  three.signatures[1].second[40] ^= 1;
+  EXPECT_FALSE(three.valid(init.params.election_id, serial,
+                           init.vc_public_keys, 3));
+  // The decoded-key form gives the same verdicts.
+  const auto keys = crypto::decode_public_keys(init.vc_public_keys);
+  for (const Ucert* c : {&u, &dup, &oob, &four, &three}) {
+    EXPECT_EQ(c->valid(init.params.election_id, serial, keys, 3),
+              c->valid(init.params.election_id, serial, init.vc_public_keys,
+                       3));
+  }
+}
+
+// --- The once-per-ballot UCERT memo --------------------------------------
+// A VC verifies a ballot's UCERT on the first VOTE_P it accepts for it;
+// later VOTE_Ps are checked against the certified code and their receipt
+// shares against the EA's Merkle root. These tests forge VOTE_Ps from a
+// VC's node id, as a Byzantine collector would send them.
+
+std::uint64_t ucert_verifies(ElectionDriver& d, std::size_t vc) {
+  std::uint64_t n = 0;
+  for (const vc::VcShardStats& s : d.vc_node(vc).shard_stats()) {
+    n += s.ucert_verifies;
+  }
+  return n;
+}
+
+// A well-formed VOTE_P for the code on voter ballot `b` at (part, line),
+// carrying VC `share_of`'s genuine receipt share and path, with an empty
+// UCERT. VC-side lines are shuffled, so the line is found by its code.
+VotePMsg vote_p_with_share(const Fixture& f, std::size_t b, std::uint8_t part,
+                           std::uint32_t line, std::size_t share_of) {
+  const Ballot& ballot = f.runner->artifacts().voter_ballots[b];
+  const VcInit& init = f.runner->artifacts().vc_inits[share_of];
+  auto it = std::find_if(init.ballots.begin(), init.ballots.end(),
+                         [&](const VcBallotInit& vb) {
+                           return vb.serial == ballot.serial;
+                         });
+  EXPECT_NE(it, init.ballots.end());
+  VotePMsg vp;
+  vp.serial = ballot.serial;
+  vp.vote_code = ballot.parts[part].lines[line].vote_code;
+  vp.part = part;
+  const auto& lines = it->parts[part];
+  vp.line = static_cast<std::uint32_t>(
+      std::find_if(lines.begin(), lines.end(),
+                   [&](const VcLineInit& li) {
+                     return crypto::salted_commit_check(
+                         li.code_hash, vp.vote_code, li.salt);
+                   }) -
+      lines.begin());
+  EXPECT_LT(vp.line, lines.size());
+  vp.receipt_share = lines[vp.line].receipt_share;
+  vp.share_path = lines[vp.line].share_path;
+  vp.ucert.vote_code = vp.vote_code;
+  return vp;
+}
+
+// A quorum of signatures under a key no VC holds.
+void add_junk_ucert(VotePMsg& vp) {
+  crypto::Rng rng(99);
+  crypto::KeyPair bogus = crypto::schnorr_keygen(rng);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    vp.ucert.signatures.push_back(
+        {i, crypto::schnorr_sign(bogus.sk, to_bytes("junk"))});
+  }
+}
+
+void forge(Fixture& f, std::size_t from_vc, std::size_t to_vc,
+           const VotePMsg& vp) {
+  sim::Simulation& sim = f.runner->simulation();
+  const auto& ids = f.runner->topology().vc_ids;
+  sim.submit_send(ids[from_vc], ids[to_vc], net::Buffer(vp.encode()),
+                  sim.now());
+}
+
+void vote(Fixture& f, std::size_t vc, std::size_t b, std::uint8_t part,
+          std::uint32_t line) {
+  const Ballot& ballot = f.runner->artifacts().voter_ballots[b];
+  f.client->send_to(f.runner->topology().vc_ids[vc],
+                    VoteMsg{ballot.serial,
+                            ballot.parts[part].lines[line].vote_code}
+                        .encode());
+  f.client->on_start();
+}
+
+TEST(VcProtocol, ForgedUcertRejectedWithMemoWarm) {
+  Fixture f(3);
+  sim::Simulation& sim = f.runner->simulation();
+  sim.start();
+  vote(f, 0, 0, 0, 0);
+  sim.run_until(5'000'000);
+  ASSERT_EQ(f.client->replies.size(), 1u);
+  ASSERT_EQ(f.client->replies[0].second.status, VoteReplyStatus::kOk);
+  // VC1 has certified ballot 0: its memo is warm.
+  const std::uint64_t warm = ucert_verifies(*f.runner, 1);
+  EXPECT_EQ(warm, 1u);
+
+  // A Byzantine VC0 sends a junk UCERT for the uncertified ballot 1 with a
+  // genuine receipt share: VC1 must verify the certificate and drop it.
+  VotePMsg vp = vote_p_with_share(f, 1, 0, 0, 0);
+  add_junk_ucert(vp);
+  forge(f, 0, 1, vp);
+  sim.run_until(6'000'000);
+  EXPECT_EQ(ucert_verifies(*f.runner, 1), warm + 1);
+
+  // Ballot 1 is still open at VC1: another code casts normally.
+  vote(f, 1, 1, 1, 0);
+  sim.run_until(11'000'000);
+  ASSERT_EQ(f.client->replies.size(), 2u);
+  EXPECT_EQ(f.client->replies[1].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(f.client->replies[1].second.receipt,
+            f.runner->artifacts().voter_ballots[1].parts[1].lines[0].receipt);
+}
+
+// Drops VC2's and VC3's messages to VC1 while `hold` is set, so a cast at
+// VC0 leaves VC1 certified (by VC0's VOTE_P) but one share short of the
+// receipt.
+void hold_vc1_shares(Fixture& f, const bool& hold) {
+  const auto ids = f.runner->topology().vc_ids;
+  f.runner->simulation().set_link_filter(
+      [&hold, ids](sim::NodeId from, sim::NodeId to,
+                   sim::TimePoint) -> std::optional<sim::Duration> {
+        if (hold && to == ids[1] && (from == ids[2] || from == ids[3])) {
+          return std::nullopt;
+        }
+        return 0;
+      });
+}
+
+TEST(VcProtocol, VotePForOtherCodeOfCertifiedBallotRejected) {
+  Fixture f;
+  sim::Simulation& sim = f.runner->simulation();
+  bool hold = true;
+  hold_vc1_shares(f, hold);
+  sim.start();
+  vote(f, 0, 0, 0, 0);
+  sim.run_until(5'000'000);
+  ASSERT_EQ(f.client->replies.size(), 1u);
+  ASSERT_EQ(f.client->replies[0].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(ucert_verifies(*f.runner, 1), 1u);
+  hold = false;
+
+  // The other part's code, with a genuinely signed quorum (as if keys were
+  // broken) and VC2's genuine share for that line: VC1 has certified part
+  // 0's code, so the message is dropped without checking its UCERT.
+  VotePMsg other = vote_p_with_share(f, 0, 1, 0, 2);
+  const auto& arts = f.runner->artifacts();
+  Bytes digest = endorsement_digest(arts.vc_inits[0].params.election_id,
+                                    other.serial, other.vote_code);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    other.ucert.signatures.push_back(
+        {i, crypto::schnorr_sign(arts.vc_inits[i].signing_key, digest)});
+  }
+  forge(f, 2, 1, other);
+  sim.run_until(6'000'000);
+  VotePMsg same = vote_p_with_share(f, 0, 0, 0, 3);
+  add_junk_ucert(same);
+  forge(f, 3, 1, same);
+  sim.run_until(7'000'000);
+  EXPECT_EQ(ucert_verifies(*f.runner, 1), 1u);
+
+  vote(f, 1, 0, 0, 0);
+  sim.run_until(12'000'000);
+  vote(f, 1, 0, 1, 0);
+  sim.run_until(17'000'000);
+  ASSERT_EQ(f.client->replies.size(), 3u);
+  EXPECT_EQ(f.client->replies[1].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(f.client->replies[1].second.receipt,
+            arts.voter_ballots[0].parts[0].lines[0].receipt);
+  EXPECT_EQ(f.client->replies[2].second.status,
+            VoteReplyStatus::kAlreadyVoted);
+}
+
+TEST(VcProtocol, JunkUcertWithCertifiedCodeKeepsPrintedReceipt) {
+  Fixture f;
+  sim::Simulation& sim = f.runner->simulation();
+  bool hold = true;
+  hold_vc1_shares(f, hold);
+  sim.start();
+  vote(f, 0, 0, 0, 0);
+  sim.run_until(5'000'000);
+  ASSERT_EQ(f.client->replies.size(), 1u);
+  ASSERT_EQ(f.client->replies[0].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(ucert_verifies(*f.runner, 1), 1u);
+  hold = false;
+
+  // Junk UCERTs for the certified code: the certificate is not checked
+  // again, so only the Merkle check stands between a share and the
+  // receipt. A tampered share must be dropped...
+  VotePMsg bad = vote_p_with_share(f, 0, 0, 0, 2);
+  add_junk_ucert(bad);
+  bad.receipt_share.y = bad.receipt_share.y + crypto::Fn::one();
+  forge(f, 2, 1, bad);
+  sim.run_until(6'000'000);
+  // ...and a genuine one completes the receipt.
+  VotePMsg good = vote_p_with_share(f, 0, 0, 0, 3);
+  add_junk_ucert(good);
+  forge(f, 3, 1, good);
+  sim.run_until(7'000'000);
+  EXPECT_EQ(ucert_verifies(*f.runner, 1), 1u);
+
+  vote(f, 1, 0, 0, 0);
+  sim.run_until(12'000'000);
+  ASSERT_EQ(f.client->replies.size(), 2u);
+  EXPECT_EQ(f.client->replies[1].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(f.client->replies[1].second.receipt,
+            f.runner->artifacts().voter_ballots[0].parts[0].lines[0].receipt);
+}
+
+TEST(VcProtocol, AtMostOneUcertVerifyPerPeerPerCast) {
+  // A clean election: the responder forms the UCERT from endorsements it
+  // verified itself, and each of the other n_vc - 1 collectors verifies it
+  // once, on its first VOTE_P. The modeled-crypto path follows the memo
+  // too, so its verify charges match real crypto's.
+  for (bool modeled : {false, true}) {
+    DriverConfig cfg;
+    cfg.params = tiny_params(12, 3);
+    cfg.seed = 4321;
+    cfg.workload = RoundRobinWorkload::make(
+        [](std::size_t) -> sim::TimePoint { return 1000; });
+    cfg.vc_options.model_signatures = modeled;
+    cfg.vc_options.sign_cost_us = 50;
+    cfg.vc_options.verify_cost_us = 80;
+    ElectionDriver runner(cfg);
+    ElectionReport report = runner.run();
+    std::uint64_t casts = 0;
+    for (std::size_t v = 0; v < runner.voter_count(); ++v) {
+      casts += runner.voter(v).has_receipt() ? 1 : 0;
+    }
+    ASSERT_EQ(casts, 12u) << "modeled=" << modeled;
+    std::uint64_t verifies = 0;
+    for (const auto& shards : report.vc_shard_stats) {
+      for (const vc::VcShardStats& s : shards) verifies += s.ucert_verifies;
+    }
+    EXPECT_GT(verifies, 0u) << "modeled=" << modeled;
+    EXPECT_LE(verifies, (cfg.params.n_vc - 1) * casts)
+        << "modeled=" << modeled;
+  }
 }
 
 TEST(VcProtocol, ConcurrentVotersOnDifferentNodes) {
