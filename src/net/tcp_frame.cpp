@@ -8,10 +8,13 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <mutex>
-
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <mutex>
+#include <vector>
 
 #include "util/codec.hpp"
 #include "util/error.hpp"
@@ -171,33 +174,55 @@ bool read_full(int fd, void* buf, std::size_t n) {
 }
 
 bool write_frame(int fd, const FrameHeader& header, BytesView payload) {
-  std::uint8_t hdr[FrameHeader::kWireSize];
-  FrameHeader h = header;
-  h.len = static_cast<std::uint32_t>(payload.size());
-  h.encode(hdr);
-  iovec iov[2];
-  iov[0].iov_base = hdr;
-  iov[0].iov_len = sizeof(hdr);
-  iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-  iov[1].iov_len = payload.size();
-  std::size_t idx = 0, nvec = payload.empty() ? 1 : 2;
-  while (idx < nvec) {
-    ssize_t wrote = ::writev(fd, &iov[idx], static_cast<int>(nvec - idx));
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    std::size_t left = static_cast<std::size_t>(wrote);
-    while (idx < nvec && left >= iov[idx].iov_len) {
-      left -= iov[idx].iov_len;
-      ++idx;
-    }
-    if (idx < nvec && left > 0) {
-      iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + left;
-      iov[idx].iov_len -= left;
+  return write_frames(fd, std::span<const FrameHeader>(&header, 1),
+                      std::span<const BytesView>(&payload, 1)) >= 0;
+}
+
+std::int64_t write_frames(int fd, std::span<const FrameHeader> headers,
+                          std::span<const BytesView> payloads,
+                          std::size_t skip, bool dont_wait) {
+  using Wire = std::array<std::uint8_t, FrameHeader::kWireSize>;
+  std::vector<Wire> wire(headers.size());
+  std::vector<iovec> iov;
+  iov.reserve(2 * headers.size());
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    FrameHeader h = headers[i];
+    h.len = static_cast<std::uint32_t>(payloads[i].size());
+    h.encode(wire[i].data());
+    iov.push_back({wire[i].data(), wire[i].size()});
+    if (!payloads[i].empty()) {
+      iov.push_back({const_cast<std::uint8_t*>(payloads[i].data()),
+                     payloads[i].size()});
     }
   }
-  return true;
+  std::size_t idx = 0;
+  // Moves the cursor past `n` written bytes.
+  auto advance = [&](std::size_t n) {
+    while (idx < iov.size() && n >= iov[idx].iov_len) {
+      n -= iov[idx].iov_len;
+      ++idx;
+    }
+    if (idx < iov.size() && n > 0) {
+      iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + n;
+      iov[idx].iov_len -= n;
+    }
+  };
+  advance(skip);
+  std::int64_t total = 0;
+  while (idx < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = &iov[idx];
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - idx, IOV_MAX);
+    ssize_t wrote = ::sendmsg(fd, &msg, dont_wait ? MSG_DONTWAIT : 0);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      if (dont_wait && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      return -1;
+    }
+    total += wrote;
+    advance(static_cast<std::size_t>(wrote));
+  }
+  return total;
 }
 
 std::optional<std::pair<FrameHeader, Bytes>> read_frame(int fd) {
@@ -211,6 +236,47 @@ std::optional<std::pair<FrameHeader, Bytes>> read_frame(int fd) {
   }
   Bytes payload(h.len);
   if (h.len > 0 && !read_full(fd, payload.data(), payload.size())) {
+    return std::nullopt;
+  }
+  return std::make_pair(h, std::move(payload));
+}
+
+FrameReader::FrameReader(int fd) : fd_(fd), buf_(kChunk) {}
+
+bool FrameReader::fill(std::size_t want) {
+  if (end_ - begin_ >= want) return true;
+  // Fewer than `want` bytes remain (less than one header): move them to
+  // the front so the next recv has the whole chunk to fill.
+  std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+  while (end_ < want) {
+    ssize_t got = ::recv(fd_, buf_.data() + end_, buf_.size() - end_, 0);
+    if (got > 0) {
+      end_ += static_cast<std::size_t>(got);
+      continue;
+    }
+    if (got < 0 && errno == EINTR) continue;
+    return false;  // EOF or hard error
+  }
+  return true;
+}
+
+std::optional<std::pair<FrameHeader, Bytes>> FrameReader::next() {
+  if (!fill(FrameHeader::kWireSize)) return std::nullopt;
+  FrameHeader h;
+  try {
+    h = FrameHeader::decode(buf_.data() + begin_);
+  } catch (const CodecError&) {
+    return std::nullopt;  // malformed stream: treat as a dead connection
+  }
+  begin_ += FrameHeader::kWireSize;
+  Bytes payload(h.len);
+  const std::size_t have = std::min<std::size_t>(end_ - begin_, h.len);
+  std::memcpy(payload.data(), buf_.data() + begin_, have);
+  begin_ += have;
+  // A payload larger than what is buffered is read straight into place.
+  if (have < h.len && !read_full(fd_, payload.data() + have, h.len - have)) {
     return std::nullopt;
   }
   return std::make_pair(h, std::move(payload));

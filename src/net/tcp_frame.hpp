@@ -19,8 +19,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -89,8 +91,38 @@ bool read_full(int fd, void* buf, std::size_t n);
 // alive across the call), never copied.
 bool write_frame(int fd, const FrameHeader& header, BytesView payload);
 
+// Writes frames back to back (headers[i] then payloads[i], each header's
+// len taken from its payload) with as few sendmsg calls as the kernel
+// takes, so a busy connection drains its whole send queue at once. The
+// first `skip` bytes of that stream are left out: a previous call wrote
+// them. Blocking, it loops over partial writes until all is written; with
+// dont_wait it stops instead when the socket buffer is full. Returns the
+// bytes this call wrote, or -1 on error.
+std::int64_t write_frames(int fd, std::span<const FrameHeader> headers,
+                          std::span<const BytesView> payloads,
+                          std::size_t skip = 0, bool dont_wait = false);
+
 // Reads one complete frame (header + payload). Empty optional on EOF or
 // any stream error, including a malformed header.
 std::optional<std::pair<FrameHeader, Bytes>> read_frame(int fd);
+
+// Buffered frame reads from one socket, for a connection's whole life:
+// each recv takes up to a chunk, so frames that arrive together cost one
+// syscall instead of two each. Not shareable between readers of one fd.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd);
+  // The next frame, as read_frame returns it.
+  std::optional<std::pair<FrameHeader, Bytes>> next();
+
+ private:
+  static constexpr std::size_t kChunk = 64 * 1024;
+  // Buffers at least `want` unread bytes; false on EOF or error.
+  bool fill(std::size_t want);
+
+  int fd_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t begin_ = 0, end_ = 0;  // unread bytes are [begin_, end_)
+};
 
 }  // namespace ddemos::net

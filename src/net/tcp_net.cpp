@@ -84,6 +84,19 @@ TcpNet::Connection& TcpNet::connection_to(std::uint32_t process) {
   return ref;
 }
 
+namespace {
+
+FrameHeader data_header(NodeId from, NodeId to, std::uint64_t seq) {
+  FrameHeader h;
+  h.kind = FrameKind::kData;
+  h.from = from;
+  h.to = to;
+  h.seq = seq;
+  return h;
+}
+
+}  // namespace
+
 void TcpNet::send_remote(NodeId from, NodeId to, Buffer payload) {
   Connection& conn = connection_to(process_of(to));
   std::unique_lock lk(conn.mu);
@@ -107,18 +120,63 @@ void TcpNet::send_remote(NodeId from, NodeId to, Buffer payload) {
   // The sequence number is fixed at enqueue time and travels with the
   // frame through any number of resends, which is what makes reconnect
   // replays detectable at the receiver.
-  conn.queue.push_back(OutFrame{from, to, conn.next_seq++, std::move(payload)});
+  OutFrame frame{from, to, conn.next_seq++, std::move(payload)};
+  if (conn.fd < 0 || conn.writing || !conn.queue.empty()) {
+    conn.queue.push_back(std::move(frame));
+    lk.unlock();
+    conn.cv_data.notify_all();
+    return;
+  }
+  // Idle connection: write the frame from this thread, as far as the
+  // socket buffer takes it without blocking. That spares the writer a
+  // wakeup per frame; `writing` keeps the writer and other senders (who
+  // queue behind) off the socket meanwhile.
+  conn.writing = true;
+  const int fd = conn.fd;
   lk.unlock();
-  conn.cv_data.notify_all();
+  const FrameHeader h = data_header(frame.from, frame.to, frame.seq);
+  const BytesView view = frame.payload.view();
+  const std::int64_t wrote =
+      write_frames(fd, std::span<const FrameHeader>(&h, 1),
+                   std::span<const BytesView>(&view, 1), 0, /*dont_wait=*/true);
+  const auto whole =
+      static_cast<std::int64_t>(FrameHeader::kWireSize + view.size());
+  lk.lock();
+  conn.writing = false;
+  if (wrote == whole) {
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Socket buffer full or connection broken: the writer finishes the
+    // frame, or redials and resends it whole, ahead of the frames queued
+    // meanwhile (their seqs are higher).
+    if (wrote < 0) {
+      ::close(conn.fd);
+      conn.fd = -1;
+      conn.head_sent = 0;
+    } else {
+      conn.head_sent = static_cast<std::size_t>(wrote);
+    }
+    conn.queue.push_front(std::move(frame));
+  }
+  const bool wake = conn.stop || !conn.queue.empty();
+  lk.unlock();
+  if (wake) conn.cv_data.notify_all();
 }
 
 void TcpNet::writer_loop(Connection& conn) {
   const TcpPeer peer = peers_.at(conn.process);
   Duration backoff = cfg_.dial_backoff_min_us;
   bool ever_connected = false;
+  // Reused across batches: the frames being written, their headers and
+  // payload views.
+  std::vector<OutFrame> batch;
+  std::vector<FrameHeader> headers;
+  std::vector<BytesView> payloads;
   std::unique_lock lk(conn.mu);
   for (;;) {
-    conn.cv_data.wait(lk, [&] { return conn.stop || !conn.queue.empty(); });
+    conn.cv_data.wait(lk, [&] {
+      return conn.stop || (!conn.queue.empty() && !conn.writing);
+    });
     if (conn.stop) break;
     if (conn.fd < 0) {
       lk.unlock();
@@ -158,33 +216,47 @@ void TcpNet::writer_loop(Connection& conn) {
         break;
       }
       conn.fd = fd;
+      conn.head_sent = 0;  // a new stream: any cut-off frame goes again whole
     }
-    // Keep the in-flight frame at the head of the queue until the write
-    // succeeds: a broken pipe redials and resends it (the receiver's seq
-    // dedup absorbs the case where the peer already processed it).
-    OutFrame frame = conn.queue.front();
-    int fd = conn.fd;
+    // Write everything queued (up to kMaxBatch frames) in one go. The
+    // frames stay at the head of the queue until the write succeeds: a
+    // broken pipe redials and resends them (the receiver's seq dedup
+    // absorbs any the peer already processed).
+    const std::size_t n = std::min(conn.queue.size(), kMaxBatch);
+    batch.assign(conn.queue.begin(),
+                 conn.queue.begin() + static_cast<std::ptrdiff_t>(n));
+    const std::size_t skip = conn.head_sent;
+    const int fd = conn.fd;
+    conn.writing = true;
     lk.unlock();
-    FrameHeader h;
-    h.kind = FrameKind::kData;
-    h.from = frame.from;
-    h.to = frame.to;
-    h.seq = frame.seq;
-    bool ok = write_frame(fd, h, frame.payload.view());
+    headers.clear();
+    payloads.clear();
+    for (const OutFrame& frame : batch) {
+      headers.push_back(data_header(frame.from, frame.to, frame.seq));
+      payloads.push_back(frame.payload.view());
+    }
+    const bool ok = write_frames(fd, headers, payloads, skip) >= 0;
+    payloads.clear();
+    batch.clear();  // drop the payload references outside the lock
     lk.lock();
+    conn.writing = false;
+    conn.head_sent = 0;
     if (ok) {
-      if (!conn.queue.empty() && conn.queue.front().seq == frame.seq) {
-        conn.queue.pop_front();
-      }
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+      // Senders only append while `writing` is set, so the written frames
+      // are still in front.
+      conn.queue.erase(conn.queue.begin(),
+                       conn.queue.begin() + static_cast<std::ptrdiff_t>(n));
+      frames_sent_.fetch_add(n, std::memory_order_relaxed);
       lk.unlock();
       conn.cv_space.notify_all();
       lk.lock();
-    } else if (conn.fd == fd) {
+    } else {
       ::close(conn.fd);
       conn.fd = -1;
     }
   }
+  // A sender may still be writing inline; it notifies once done.
+  conn.cv_data.wait(lk, [&] { return !conn.writing; });
   if (conn.fd >= 0) {
     ::close(conn.fd);
     conn.fd = -1;
@@ -225,10 +297,11 @@ void TcpNet::reader_loop(Inbound& in) {
     in.fd = -1;
   };
   // First frame must be a valid HELLO for this election.
+  FrameReader reader(fd);
   std::uint32_t peer_process = 0;
   std::uint64_t peer_incarnation = 0;
   {
-    auto first = read_frame(fd);
+    auto first = reader.next();
     if (!first || first->first.kind != FrameKind::kHello) {
       close_in();
       return;
@@ -272,7 +345,7 @@ void TcpNet::reader_loop(Inbound& in) {
       return;
     }
   }
-  while (auto frame = read_frame(fd)) {
+  while (auto frame = reader.next()) {
     if (frame->first.kind != FrameKind::kData) continue;
     // A peer speaks only for the nodes it hosts: a frame claiming another
     // process's node is an impersonation attempt, so fail closed.
@@ -356,7 +429,7 @@ void TcpNet::stop() {
       if (in->fd >= 0) ::shutdown(in->fd, SHUT_RDWR);
     }
   }
-  // Readers remove themselves via read_frame() returning nullopt; the
+  // Readers remove themselves via FrameReader::next() returning nullopt; the
   // vector itself is only mutated by the (joined) accept thread.
   for (auto& in : inbound_) {
     if (in->reader.joinable()) in->reader.join();

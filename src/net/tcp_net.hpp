@@ -12,8 +12,12 @@
 //  * one Connection per destination process, created lazily at first send,
 //    with a bounded send queue and a dedicated writer thread. Enqueueing a
 //    frame is a cheap Buffer handle copy (an N-process multicast still pays
-//    one payload allocation); the writer scatter-writes header + shared
-//    payload with writev.
+//    one payload allocation). A sender whose connection is idle writes its
+//    frame itself, without blocking; otherwise the frame queues and the
+//    writer scatter-writes every queued header + shared payload with one
+//    sendmsg. A reader takes what its socket holds with one recv. So a
+//    busy connection pays a syscall per batch rather than per frame, and
+//    a quiet one no thread wakeup per frame.
 //  * backpressure: when the queue is full the sender blocks up to
 //    send_block_us for space, then drops the frame and counts it —
 //    Context::send is documented unreliable, and D-DEMOS voters resubmit
@@ -21,7 +25,7 @@
 //    peer died.
 //  * handshake/reconnect: a writer dials with exponential backoff, sends a
 //    HELLO (version, process index, election id) before any data, and on a
-//    broken pipe redials and resends the in-flight frame. Receivers track
+//    broken pipe redials and resends the in-flight frames. Receivers track
 //    the last sequence number seen per source process (state on the
 //    TcpNet, surviving reconnects) and drop seq <= last, making the resend
 //    idempotent even for protocol steps that are not (VC->BB push).
@@ -129,7 +133,7 @@ class TcpNet final : public ThreadNet {
 
   // Fault injection: shuts down every established data socket (outbound
   // and inbound). Writers redial with backoff and resend the in-flight
-  // frame; receiver-side dedup keeps the replay invisible to protocol
+  // frames; receiver-side dedup keeps the replay invisible to protocol
   // code.
   void sever_connections();
 
@@ -177,7 +181,16 @@ class TcpNet final : public ThreadNet {
     std::uint64_t next_seq = 1;        // guarded by mu
     int fd = -1;                       // guarded by mu (writer/sever/stop)
     bool stop = false;                 // guarded by mu
+    // Guarded by mu: a thread (the writer, or a sender writing inline on
+    // an idle connection) is writing to fd outside the lock; nobody else
+    // writes, closes fd or pops the queue meanwhile.
+    bool writing = false;
+    // Guarded by mu: bytes of queue.front() already on the current fd (an
+    // inline write the socket buffer cut short).
+    std::size_t head_sent = 0;
   };
+  // Frames a writer takes from its queue per write_frames call.
+  static constexpr std::size_t kMaxBatch = 256;
   struct Inbound {
     int fd = -1;
     std::thread reader;

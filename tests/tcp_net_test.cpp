@@ -1,4 +1,5 @@
-// TcpNet transport unit tests: wire framing, the shared real-clock timer
+// TcpNet transport unit tests: wire framing (including batched writes and
+// buffered reads of several frames), the shared real-clock timer
 // clamp, loopback delivery between two in-process TcpNet instances (two
 // "OS processes" of a cluster hosted in one test binary), reconnect after
 // a sever, send-side backpressure against an unreachable peer, and the
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "net/tcp_frame.hpp"
 #include "net/tcp_net.hpp"
@@ -69,6 +71,76 @@ TEST(TcpFrame, HelloBodyRoundTrip) {
   EXPECT_EQ(d.version, hello.version);
   EXPECT_EQ(d.process, 5u);
   EXPECT_EQ(d.election_id, to_bytes("election-42"));
+}
+
+// write_frames and FrameReader over a socketpair: several frames in one
+// call (an empty payload, one larger than the reader's chunk), a write
+// that resumes after `skip` bytes, and a dont_wait write the socket buffer
+// cuts short, finished by a blocking one while the reader drains.
+TEST(TcpFrame, BatchedWritesAndBufferedReadsRoundTrip) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  auto header = [](std::uint64_t seq) {
+    FrameHeader h;
+    h.kind = FrameKind::kData;
+    h.from = 1;
+    h.to = 2;
+    h.seq = seq;
+    return h;
+  };
+  const Bytes small = to_bytes("vote");
+  const Bytes empty;
+  const Bytes large(100'000, 0xab);
+  const Bytes huge(8u << 20, 0xcd);  // more than a socket buffer holds
+  std::vector<std::pair<FrameHeader, Bytes>> got;
+  std::thread reader([&] {
+    FrameReader r(sv[1]);
+    while (auto f = r.next()) got.push_back(std::move(*f));
+  });
+
+  const FrameHeader batch_h[] = {header(1), header(2), header(3)};
+  const BytesView batch_p[] = {small, empty, large};
+  EXPECT_EQ(write_frames(sv[0], batch_h, batch_p),
+            static_cast<std::int64_t>(3 * FrameHeader::kWireSize +
+                                      small.size() + large.size()));
+
+  // The first 10 bytes of frame 4 go out by hand; write_frames skips them.
+  FrameHeader h4 = header(4);
+  h4.len = static_cast<std::uint32_t>(small.size());
+  std::uint8_t wire[FrameHeader::kWireSize];
+  h4.encode(wire);
+  ASSERT_EQ(::send(sv[0], wire, 10, 0), 10);
+  const BytesView p4 = small;
+  EXPECT_EQ(write_frames(sv[0], std::span<const FrameHeader>(&h4, 1),
+                         std::span<const BytesView>(&p4, 1), 10),
+            static_cast<std::int64_t>(FrameHeader::kWireSize - 10 +
+                                      small.size()));
+
+  const FrameHeader h5 = header(5);
+  const BytesView p5 = huge;
+  const auto whole =
+      static_cast<std::int64_t>(FrameHeader::kWireSize + huge.size());
+  const std::int64_t part =
+      write_frames(sv[0], std::span<const FrameHeader>(&h5, 1),
+                   std::span<const BytesView>(&p5, 1), 0, /*dont_wait=*/true);
+  ASSERT_GE(part, 0);
+  EXPECT_LT(part, whole);
+  EXPECT_EQ(write_frames(sv[0], std::span<const FrameHeader>(&h5, 1),
+                         std::span<const BytesView>(&p5, 1),
+                         static_cast<std::size_t>(part)),
+            whole - part);
+  ::shutdown(sv[0], SHUT_WR);
+  reader.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+
+  const Bytes* want[] = {&small, &empty, &large, &small, &huge};
+  ASSERT_EQ(got.size(), 5u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first.seq, i + 1);
+    EXPECT_EQ(got[i].first.len, want[i]->size());
+    EXPECT_TRUE(got[i].second == *want[i]) << "frame " << i + 1;
+  }
 }
 
 TEST(TimerClamp, SharedHelperBounds) {
